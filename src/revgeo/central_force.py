@@ -17,6 +17,7 @@ machine precision; for small k2 the perihelion advance per orbit approaches
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -189,17 +190,23 @@ def apsidal_angle(params: ForceParams, ell: float, E: float) -> float:
             raise DomainError(f"E = {E} admits no bound annulus")
         r3, rp, ra = roots
     mid, half = 0.5 * (rp + ra), 0.5 * (ra - rp)
-    m2E = -2.0 * E
+    m2E, ell = -2.0 * float(E), float(ell)
 
     def f(phi):
-        r = mid - half * np.cos(phi)
+        r = mid - half * math.cos(phi)
         # 2(E - U) = (r - rp)(ra - r) * rad; the turning factors cancel
         # against dr = half sin(phi) dphi, leaving a smooth integrand
         if r3 is None:
             rad = m2E / r ** 2
         else:
             rad = m2E * (r - r3) / r ** 3
-        return (ell / r ** 2) / np.sqrt(rad)
+        # plain floats, as in the integrals kernels; a radicand that rounds
+        # to <= 0 (r3 = rp at the barrier top) gives numpy's nan or inf
+        try:
+            return (ell / r ** 2) / math.sqrt(rad)
+        except (ValueError, ZeroDivisionError):
+            with np.errstate(all="ignore"):
+                return float((ell / r ** 2) / np.sqrt(np.float64(rad)))
 
     val, _ = quad(f, 0.0, np.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
     return float(val)

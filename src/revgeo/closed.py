@@ -311,17 +311,28 @@ def refine_via_ode(spec: SurfaceSpec, label, beta0: float,
         lam_star = outer[need - 1].lam
         return float(trace.dense(lam_star)[1]) - 2.0 * np.pi * n
 
+    # every iterate stays on the launch angle's own branch: a probe that
+    # would reach or cross an edge (0, beta_crit, pi/2) steps halfway to it
+    bc = critical_angles(spec).beta_crit or 0.0
+    lo, hi = (0.0, bc) if p == 1 else (bc, np.pi / 2.0)
+
+    def on_branch(x, x_new):
+        if x_new <= lo:
+            return 0.5 * (x + lo)
+        if x_new >= hi:
+            return 0.5 * (x + hi)
+        return float(x_new)
+
     x0 = float(beta0)
     f0 = defect(x0)
     if abs(f0) < 1e-12:
         return RefineResult(x0, f0, 0)
-    x1 = x0 + np.copysign(1e-7 * max(abs(x0), 1e-2), -f0)
+    x1 = on_branch(x0, x0 + np.copysign(1e-7 * max(abs(x0), 1e-2), -f0))
     f1 = defect(x1)
     for k in range(2, 26):
         if f1 == f0:
             break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x2 = float(np.clip(x2, 1e-12, np.pi / 2.0 - 1e-12))
+        x2 = on_branch(x1, x1 - f1 * (x1 - x0) / (f1 - f0))
         x0, f0, x1 = x1, f1, x2
         f1 = defect(x1)
         if abs(f1) < 1e-12 or abs(x1 - x0) < 1e-15:

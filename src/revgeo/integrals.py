@@ -16,10 +16,18 @@ the radicand is always evaluated through the factorization
     rho - w     = 2 sin((chi + chi_max)/2) sin((chi_max - chi)/2)
 
 which has no cancellation even arbitrarily close to the turning point.
+
+Kernel rule: the integrands handed to quad do plain-float arithmetic with
+`math`, never numpy scalar calls, which cost about ten times as much per
+evaluation and dominated every solve. They keep numpy's scalar semantics on
+the edges quad can reach: a negative radicand gives nan and a zero
+denominator gives +-inf (0/0 gives nan), never ValueError or
+ZeroDivisionError, so quadrature failures surface exactly as before.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,7 +52,6 @@ _DIRECT_FRACTION = 0.75
 class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    turning_point_substitution: bool = True
     limit: int = 300
 
     def __post_init__(self):
@@ -60,8 +67,18 @@ def _rho(c, chi):
     return c + 2.0 * np.cos(chi / 2.0) ** 2
 
 
-def _numerator(kind, c, w, rho):
-    return w / rho if kind == _ORBIT else rho
+def _integrand(orbit, w, rho, rad):
+    """(w / rho if orbit else rho) / sqrt(rad), in plain floats.
+
+    The rare edge (rad < 0 or a zero divisor) is recomputed in numpy so it
+    yields nan or +-inf exactly as numpy scalars would.
+    """
+    try:
+        return (w / rho if orbit else rho) / math.sqrt(rad)
+    except (ValueError, ZeroDivisionError):
+        with np.errstate(all="ignore"):
+            rho = np.float64(rho)
+            return float((w / rho if orbit else rho) / np.sqrt(np.float64(rad)))
 
 
 def _w_of_beta0(spec, beta0):
@@ -81,12 +98,14 @@ def _quad(f, a, b, cfg, points=None):
 
 def _unbound_integral(spec, w, chi_lo, chi_hi, kind, cfg):
     """Integral over [chi_lo, chi_hi] when rho > w everywhere (ring, w < c)."""
-    c = spec.c
+    c, w, orbit = float(spec.c), float(w), kind == _ORBIT
+    gap = c - w
 
     def f(chi):
-        rho = _rho(c, chi)
-        rad = ((c - w) + 2.0 * np.cos(chi / 2.0) ** 2) * (rho + w)
-        return _numerator(kind, c, w, rho) / np.sqrt(rad)
+        h = math.cos(0.5 * chi)
+        h2 = 2.0 * h ** 2
+        rho = c + h2
+        return _integrand(orbit, w, rho, (gap + h2) * (rho + w))
 
     # split at multiples of pi so the peaks at the inner equator sit on
     # subinterval boundaries
@@ -101,12 +120,14 @@ def _unbound_integral(spec, w, chi_lo, chi_hi, kind, cfg):
 
 def _bound_direct(spec, w, chi_max, chi_lo, chi_hi, kind, cfg):
     """Plain quadrature on [chi_lo, chi_hi] strictly inside [0, chi_max)."""
-    c = spec.c
+    c, w, chi_max, orbit = float(spec.c), float(w), float(chi_max), kind == _ORBIT
 
     def f(chi):
-        rho = _rho(c, chi)
-        diff = 2.0 * np.sin((chi + chi_max) / 2.0) * np.sin((chi_max - chi) / 2.0)
-        return _numerator(kind, c, w, rho) / np.sqrt(diff * (rho + w))
+        h = math.cos(0.5 * chi)
+        rho = c + 2.0 * h ** 2
+        diff = (2.0 * math.sin(0.5 * (chi + chi_max))
+                * math.sin(0.5 * (chi_max - chi)))
+        return _integrand(orbit, w, rho, diff * (rho + w))
 
     return _quad(f, chi_lo, chi_hi, cfg)
 
@@ -118,21 +139,19 @@ def _bound_tail(spec, w, chi_max, chi_from, kind, cfg):
     sin((chi_max - chi)/2) = sin(u^2/2) contributes u * sqrt(sinc), leaving a
     smooth integrand in u.
     """
-    c = spec.c
-    if not cfg.turning_point_substitution:
-        # naive fallback: clip the endpoint; converges poorly by design
-        hi = chi_max - 1e-9
-        if hi <= chi_from:
-            return 0.0
-        return _bound_direct(spec, w, chi_max, chi_from, hi, kind, cfg)
+    c, w, chi_max, orbit = float(spec.c), float(w), float(chi_max), kind == _ORBIT
 
     def h(u):
-        chi = chi_max - u * u
-        rho = _rho(c, chi)
-        q = 0.5 * u * u
-        sinc = np.sinc(q / np.pi)              # sin(q)/q, equals 1 at u = 0
-        A = sinc * np.sin((chi + chi_max) / 2.0) * (rho + w)
-        return 2.0 * _numerator(kind, c, w, rho) / np.sqrt(A)
+        uu = u * u
+        chi = chi_max - uu
+        g = math.cos(0.5 * chi)
+        rho = c + 2.0 * g ** 2
+        # sin(q)/q, with q rounded through q / pi as np.sinc(q / pi) rounds
+        # it, so every value and every quad subdivision stays bit-identical
+        q = math.pi * (0.5 * uu / math.pi)
+        sinc = math.sin(q) / q if q else 1.0
+        A = sinc * math.sin(0.5 * (chi + chi_max)) * (rho + w)
+        return 2.0 * _integrand(orbit, w, rho, A)
 
     upper = np.sqrt(chi_max - chi_from)
     points = None
@@ -145,15 +164,19 @@ def _bound_tail(spec, w, chi_max, chi_from, kind, cfg):
     return _quad(h, 0.0, upper, cfg, points=points)
 
 
-def _bound_primitive(spec, w, chi_max, x, kind, cfg):
-    """Odd primitive T(x) = Int_0^x of the bound integrand, |x| <= chi_max."""
+def _bound_primitive(spec, w, chi_max, x, kind, cfg, quarter=None):
+    """Odd primitive T(x) = Int_0^x of the bound integrand, |x| <= chi_max.
+
+    quarter is T(chi_max) when the caller already has it.
+    """
     xa = abs(x)
     if xa == 0.0:
         return 0.0
     if xa <= _DIRECT_FRACTION * chi_max:
         val = _bound_direct(spec, w, chi_max, 0.0, xa, kind, cfg)
     else:
-        quarter = _bound_tail(spec, w, chi_max, 0.0, kind, cfg)
+        if quarter is None:
+            quarter = _bound_tail(spec, w, chi_max, 0.0, kind, cfg)
         val = quarter - (_bound_tail(spec, w, chi_max, xa, kind, cfg)
                          if xa < chi_max else 0.0)
     return np.copysign(val, x)
@@ -263,8 +286,10 @@ def _monotone_arc(spec, w, chi0, chi1, kind, cfg):
             f"arc [{chi0}, {chi1}] leaves the allowed band |chi| <= {chi_t}")
     x0 = float(np.clip(x0, -chi_t, chi_t))
     x1 = float(np.clip(x1, -chi_t, chi_t))
-    return (_bound_primitive(spec, w, chi_t, x1, kind, cfg)
-            - _bound_primitive(spec, w, chi_t, x0, kind, cfg))
+    quarter = (_bound_tail(spec, w, chi_t, 0.0, kind, cfg)
+               if max(abs(x0), abs(x1)) > _DIRECT_FRACTION * chi_t else None)
+    return (_bound_primitive(spec, w, chi_t, x1, kind, cfg, quarter)
+            - _bound_primitive(spec, w, chi_t, x0, kind, cfg, quarter))
 
 
 def affine_time(spec: SurfaceSpec, E: float, ell: float, r0: float, r: float,

@@ -13,6 +13,7 @@ parameter c = (a - b)/b classifies the family.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,9 @@ class SurfaceSpec:
     family: Family = field(init=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise InvalidParameterError(
+                f"a and b must be finite, got a={self.a}, b={self.b}")
         if not self.b > 0:
             raise InvalidParameterError(f"profile radius b must be positive, got {self.b}")
         if self.a <= -self.b:

@@ -109,22 +109,20 @@ class _FoldTable:
 
     For turning radius t (in chi units) the azimuth and length of any fold
     pattern are linear combinations of the odd primitives T(t), T(chi1),
-    T(chi2) with w = rho(t); the table caches those six numbers per grid t.
+    T(chi2) with w = rho(t). The sweeps need only the three orbit terms;
+    the length terms are computed at accepted roots alone.
     """
 
     def __init__(self, spec, chi1, chi2, cfg):
         self.spec, self.chi1, self.chi2, self.cfg = spec, chi1, chi2, cfg
 
-    def raw(self, t):
+    def terms(self, t, kind):
+        """(T(t), T(chi1), T(chi2)) of one kind, with T(t) computed once."""
         spec, cfg = self.spec, self.cfg
         w = _rho(spec.c, t)
-        Tt = _bound_tail(spec, w, t, 0.0, _ORBIT, cfg)
-        Lt = _bound_tail(spec, w, t, 0.0, _LENGTH, cfg)
-        T1 = _bound_primitive(spec, w, t, self.chi1, _ORBIT, cfg)
-        L1 = _bound_primitive(spec, w, t, self.chi1, _LENGTH, cfg)
-        T2 = _bound_primitive(spec, w, t, self.chi2, _ORBIT, cfg)
-        L2 = _bound_primitive(spec, w, t, self.chi2, _LENGTH, cfg)
-        return Tt, T1, T2, Lt, L1, L2
+        Tt = _bound_tail(spec, w, t, 0.0, kind, cfg)
+        return (Tt, _bound_primitive(spec, w, t, self.chi1, kind, cfg, Tt),
+                _bound_primitive(spec, w, t, self.chi2, kind, cfg, Tt))
 
     # fold-pattern combinations: sweep = az coefficient dot (Tt, T1, T2)
     _COEF = {
@@ -136,13 +134,13 @@ class _FoldTable:
 
     def sweep(self, shape, t):
         ct, c1, c2 = self._COEF[shape]
-        Tt, T1, T2, Lt, L1, L2 = self.raw(t)
+        Tt, T1, T2 = self.terms(t, _ORBIT)
         return ct * Tt + c1 * T1 + c2 * T2
 
-    def both(self, shape, t):
+    def length(self, shape, t):
         ct, c1, c2 = self._COEF[shape]
-        Tt, T1, T2, Lt, L1, L2 = self.raw(t)
-        return ct * Tt + c1 * T1 + c2 * T2, ct * Lt + c1 * L1 + c2 * L2
+        Lt, L1, L2 = self.terms(t, _LENGTH)
+        return ct * Lt + c1 * L1 + c2 * L2
 
 
 def _fold_grid(t_min, t_sup, ring):
@@ -204,6 +202,9 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
                     config: QuadratureConfig = _DEFAULT) -> TwoPointResult:
     """All connecting geodesics from (r1, 0) to (r2, dtheta) over the winding
     ranges, sorted by length. Raises NoSolutionError if nothing matches."""
+    if not np.all(np.isfinite((r1, r2, dtheta))):
+        raise DomainError(
+            f"r1, r2 and dtheta must be finite, got {r1}, {r2}, {dtheta}")
     _chart_check(spec, r1, "r1")
     _chart_check(spec, r2, "r2")
     b, c = spec.b, spec.c
@@ -231,9 +232,9 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
     grid = _fold_grid(t_min, chi_sup, ring)
     sweeps = {}
     if grid.size:
-        raws = np.array([table.raw(t) for t in grid])
+        terms = np.array([table.terms(t, _ORBIT) for t in grid])
         for shape, (ct, c1, c2) in _FoldTable._COEF.items():
-            sweeps[shape] = ct * raws[:, 0] + c1 * raws[:, 1] + c2 * raws[:, 2]
+            sweeps[shape] = ct * terms[:, 0] + c1 * terms[:, 1] + c2 * terms[:, 2]
 
     for k in k_range:
         target = dtheta + 2.0 * np.pi * k
@@ -286,7 +287,7 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
                 else:
                     continue
                 for t_root in roots:
-                    span_az, span_len = table.both(shape, t_root)
+                    span_len = table.length(shape, t_root)
                     up_first = shape in ("turn-up", "turn-up-down")
                     vr0 = 1 if up_first else -1
                     if up_first and abs(t_root - chi1) < 1e-11:

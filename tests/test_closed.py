@@ -16,6 +16,8 @@ from revgeo.closed import (find_closed, precession_rate, refine_via_ode,
                            self_intersections, spectrum, verify_closure)
 from revgeo.dynamics import (IntegratorConfig, initial_state_from_angle,
                              integrate)
+from revgeo.integrals import theta_frequency_unbound
+from revgeo.potential import critical_angles
 from revgeo.surface import embed
 
 BETA_11_0 = 0.4097039419613767
@@ -145,6 +147,18 @@ def test_refine_recovers_root_from_perturbed_start(ring):
     geo = find_closed(ring, (1, 1, 0))
     res = refine_via_ode(ring, (1, 1, 0), geo.beta0 + 5e-4)
     assert abs(res.beta0 - geo.beta0) < 1e-10
+
+
+def test_refine_stays_below_critical_angle():
+    # the [1,3;1] root lies 2e-13 below beta_crit here; a secant probe of
+    # 1e-7 beta0 would cross onto the bound branch
+    spec = SurfaceSpec(3.55, 1.0)
+    bc = critical_angles(spec).beta_crit
+    geo = find_closed(spec, (1, 3, 1))
+    res = refine_via_ode(spec, (1, 3, 1), geo.beta0)
+    assert 0.0 < bc - res.beta0 < 1e-12
+    # N falls to 0 at beta_crit, so N above 1/3 just below the root brackets it
+    assert theta_frequency_unbound(spec, res.beta0 * (1.0 - 1e-9)) > 1.0 / 3.0
 
 
 def test_refine_rejects_equators(ring):

@@ -1,22 +1,24 @@
 """Quadrature layer: orbit angles, frequencies, arc lengths.
 
 The frozen decimals below were produced by this library and cross-checked
-against independent ODE shooting (see the dual-route tests at the bottom);
-they pin the quadrature against silent regressions.
+against independent ODE shooting (see the dual-route tests); they pin the
+quadrature against silent regressions. The last test compares the four
+frequency and length laws with mpmath quadrature at 30 digits.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
 from revgeo import DomainError, SurfaceSpec
 from revgeo.dynamics import (OUTER_EQUATOR, IntegratorConfig,
                              initial_state_from_angle, integrate)
-from revgeo.integrals import (QuadratureConfig, affine_time,
-                              arc_length_bound_period,
+from revgeo.integrals import (QuadratureConfig, _integrand, _w_of_beta0,
+                              affine_time, arc_length_bound_period,
                               arc_length_unbound_loop,
                               critical_divergence_estimate, orbit_angle,
                               theta_frequency_bound, theta_frequency_unbound)
-from revgeo.potential import turning_point
+from revgeo.potential import critical_angles, turning_point
 
 # launch-angle roots on spec(2,1), solved by brentq on the frequency laws
 BETA_11_0 = 0.4097039419613767        # [1,1;0]
@@ -30,6 +32,16 @@ def test_quadrature_config_validation():
         QuadratureConfig(abs_tol=0.1)
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
+
+
+def test_integrand_edges_follow_numpy():
+    # quad sees nan or inf on the edges, as with numpy scalars, never an error
+    assert _integrand(True, 1.0, 0.0, 1.0) == np.inf        # w / rho, rho = 0
+    assert _integrand(True, 1.0, -0.0, 1.0) == -np.inf
+    assert _integrand(False, 2.0, 2.0, 0.0) == np.inf       # radicand 0
+    assert np.isnan(_integrand(False, 1.0, 0.0, 0.0))       # 0 / 0
+    assert np.isnan(_integrand(True, 1.0, 2.0, -1e-300))    # radicand < 0
+    assert _integrand(True, 1.0, 2.0, 4.0) == 0.25
 
 
 def test_bound_frequency_at_frozen_roots(ring):
@@ -150,3 +162,68 @@ def test_quadrature_tolerance_actually_used(ring):
     a = arc_length_bound_period(ring, 0.5, loose)
     b = arc_length_bound_period(ring, 0.5, tight)
     assert a == pytest.approx(b, rel=1e-3)
+
+
+def _mp_quarter(c, w, x_t, orbit):
+    """Int g(rho) dchi / sqrt(rho^2 - w^2) from chi = 0 to the arc's end.
+
+    With x = cos chi, rho^2 - w^2 = (x - x_t)(rho + w). The arc ends at the
+    larger of x_t (a bound turning point) and -1 (the inner equator, for an
+    unbound half loop). x = base + (1 - base) sin^2 phi absorbs the 1/sqrt
+    factors at 1 and at base, leaving 2 g / sqrt((x - other)(rho + w)) on
+    [0, pi/2]; its peak at phi = 0 has width sqrt(|1 + x_t|), so quad gets
+    breakpoints there.
+    """
+    mp = mpmath.mp
+    c, w, x_t = mp.mpf(c), mp.mpf(w), mp.mpf(x_t)
+    base = max(x_t, mp.mpf(-1))         # where the arc ends
+    other = min(x_t, mp.mpf(-1))        # the root just beyond it
+
+    def f(phi):
+        x = base + (1 - base) * mp.sin(phi) ** 2
+        rho = c + 1 + x
+        g = w / rho if orbit else rho
+        return 2 * g / mp.sqrt((x - other) * (rho + w))
+
+    width = mp.sqrt(abs(1 + x_t))
+    pts = [mp.mpf(0)] + [width * 4 ** k for k in range(12)
+                         if width * 4 ** k < mp.pi / 4] + [mp.pi / 2]
+    return mp.quad(f, pts)
+
+
+def _mp_reference(spec, beta0, orbit):
+    """One quarter (bound) or half loop (unbound) from mpmath at 30 digits.
+
+    The reference takes the double-precision w and turning point the library
+    forms from beta0, so it measures the quadrature alone: at 1e-10 from
+    beta_crit, one rounding of either input moves N by about 1e-8.
+    """
+    w = _w_of_beta0(spec, beta0)
+    tp = turning_point(spec, beta0)
+    with mpmath.workdps(30):
+        x_t = (mpmath.cos(mpmath.mpf(tp.chi_max)) if tp.chi_max is not None
+               else mpmath.mpf(w) - spec.c - 1)
+        return _mp_quarter(spec.c, w, x_t, orbit)
+
+
+def _mpmath_cases():
+    ring = SurfaceSpec(2.0, 1.0)
+    bc = critical_angles(ring).beta_crit
+    cases = [(ring, b) for b in (bc - 1e-10, bc + 1e-10, 0.1, 0.5, 1.2)]
+    return cases + [(SurfaceSpec(1.0, 1.0), 0.7), (SurfaceSpec(0.5, 1.0), 0.7)]
+
+
+@pytest.mark.parametrize("spec,beta0", _mpmath_cases())
+def test_against_mpmath(spec, beta0):
+    orbit = _mp_reference(spec, beta0, True)
+    length = _mp_reference(spec, beta0, False)
+    if turning_point(spec, beta0).chi_max is None:
+        got = (theta_frequency_unbound(spec, beta0),
+               arc_length_unbound_loop(spec, beta0))
+        want = (2 * mpmath.pi / (2 * orbit), 2 * spec.b * length)
+    else:
+        got = (theta_frequency_bound(spec, beta0),
+               arc_length_bound_period(spec, beta0))
+        want = (2 * mpmath.pi / (4 * orbit), 4 * spec.b * length)
+    for g, r in zip(got, want):
+        assert abs(g - r) <= 1e-11 * abs(r)

@@ -28,6 +28,10 @@ def test_invalid_specs():
         SurfaceSpec(2.0, -1.0)
     with pytest.raises(InvalidParameterError):
         SurfaceSpec(-1.0, 1.0)     # a <= -b leaves no chart at all
+    for a, b in ((np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, np.inf),
+                 (-np.inf, 1.0)):
+        with pytest.raises(InvalidParameterError):
+            SurfaceSpec(a, b)
 
 
 def test_lemon_range_is_a_spindle():

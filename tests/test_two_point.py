@@ -32,6 +32,10 @@ def test_momentum_arcs_signs(ring):
 def test_chart_validation(ring, spindle):
     with pytest.raises(DomainError):
         solve_two_point(spindle, 0.0, 3.0, 1.0)     # R(3.0) <= 0 off the band
+    for r1, r2, dtheta in ((0.0, 0.0, np.nan), (np.nan, 0.0, 1.0),
+                           (0.0, np.inf, 1.0), (0.0, 0.0, -np.inf)):
+        with pytest.raises(DomainError):
+            solve_two_point(ring, r1, r2, dtheta)
 
 
 def test_same_point_returns_loops(ring):
