@@ -324,11 +324,12 @@ def exp_map_rays(spec: SurfaceSpec, n_rays: int = 24,
     Launch angles run from 0 (meridian) to pi/2 (outer equator) inclusive.
     The two closed extremes are integrated over exactly one circuit
     (2 pi b and 2 pi (a+b)); interior rays run to lam_max, default one
-    outer-equator circuit.
+    outer-equator circuit. Rays of equal span share one read-only lam array.
     """
     if n_rays < 2:
         raise DomainError("need at least the meridian and equator rays")
     default_span = 2.0 * np.pi * (spec.a + spec.b)
+    grids = {}                      # one read-only sample grid per distinct span
     rays = []
     for beta0 in np.linspace(0.0, np.pi / 2.0, n_rays):
         if beta0 == 0.0:
@@ -340,7 +341,10 @@ def exp_map_rays(spec: SurfaceSpec, n_rays: int = 24,
         cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, max_lambda=span,
                                method="DOP853")
         trace = integrate(spec, initial_state_from_angle(spec, beta0), cfg)
-        lams = np.linspace(0.0, span, samples)
+        lams = grids.get(span)
+        if lams is None:
+            lams = grids[span] = np.linspace(0.0, span, samples)
+            lams.flags.writeable = False
         Y = trace.dense(lams)
         rays.append(RayPath(float(beta0), lams, Y[0].copy(), Y[1].copy()))
     return tuple(rays)

@@ -95,6 +95,21 @@ def test_geodesic_requires_beta0(capsys):
     assert "beta0" in err
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_geodesic_rejects_non_finite_lambda(capsys, lam):
+    code, out, err = run(capsys, "geodesic", "--beta0", "0.5", "--lambda-max", lam)
+    assert code == 2 and out == ""
+    assert "max_lambda" in err
+
+
+def test_geodesic_zero_lambda(capsys):
+    code, out, _ = run(capsys, "geodesic", "--beta0", "0.5", "--lambda-max", "0",
+                       "--samples", "3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["events"] == 0 and len(doc["rows"]) == 3
+
+
 def test_geodesic_partial_trace_flagged(capsys, monkeypatch):
     # numerical failure: emit the truncated trace, flag it, exit 3
     real = cli.dynamics.integrate

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from revgeo import dynamics
 from revgeo.dynamics import (INNER_EQUATOR, OUTER_EQUATOR, TURNING_POINT,
                              GeodesicState, IntegratorConfig, conserved,
                              geodesic_rhs, initial_state_from_angle, integrate)
+from revgeo.errors import DomainError
 from revgeo.potential import turning_point
+from revgeo.surface import SurfaceSpec
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=100.0,
                          method="DOP853")
@@ -140,3 +144,131 @@ def test_unit_speed_parametrization(ring):
     Y = tr.dense(lam)
     speed = np.sqrt(Y[2] ** 2 + ring.R(Y[0]) ** 2 * Y[3] ** 2)
     assert np.allclose(speed, 1.0, atol=1e-10)
+
+
+# -- event scan against the per-step reference loop ----------------------------
+
+def _scan_step(spec, dense, t_lo, t_hi, speed):
+    """Event roots inside one accepted step by subsampled sign changes."""
+    ts = np.linspace(t_lo, t_hi, dynamics._EVENT_SUBSAMPLES + 1)
+    ys = dense(ts)
+    r = ys[0]
+    vr = ys[2]
+    b = spec.b
+    found = []
+    channels = (
+        (OUTER_EQUATOR, np.sin(r / (2.0 * b)), lambda t: np.sin(dense(t)[0] / (2.0 * b)), 1.0),
+        (INNER_EQUATOR, np.cos(r / (2.0 * b)), lambda t: np.cos(dense(t)[0] / (2.0 * b)), 1.0),
+        (TURNING_POINT, vr, lambda t: dense(t)[2], speed),
+    )
+    for kind, g, g_of_t, scale in channels:
+        prod = g[:-1] * g[1:]
+        for i in np.nonzero(prod < 0.0)[0]:
+            if max(abs(g[i]), abs(g[i + 1])) < dynamics._EVENT_NOISE * scale:
+                continue  # circular-orbit noise, not a transversal crossing
+            lam_ev = brentq(g_of_t, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
+            found.append((kind, lam_ev))
+    return found
+
+
+def _reference_events(spec, trace):
+    """(kind, lam, state) of every event, one step at a time."""
+    lam = trace.lam
+    speed = np.sqrt(2.0 * conserved(spec, trace.initial).E)
+    raw = []
+    for i in range(len(lam) - 1):
+        raw.extend(_scan_step(spec, trace.dense, lam[i], lam[i + 1], speed))
+    raw.sort(key=lambda kl: kl[1])
+    last_by_kind = {}
+    events = []
+    for kind, lam_ev in raw:
+        prev = last_by_kind.get(kind)
+        if prev is not None and abs(prev - lam_ev) < 1e-9:
+            continue
+        last_by_kind[kind] = lam_ev
+        events.append((kind, lam_ev, tuple(trace.dense(lam_ev))))
+    return events
+
+
+EVENT_BATTERY = {
+    "ring-bound": ((2.0, 1.0), 0.47, 60.0, "DOP853"),
+    "ring-unbound": ((2.0, 1.0), 0.119, 60.0, "DOP853"),
+    "horn-meridian-through-axis": ((1.0, 1.0), 0.0, 20.0, "DOP853"),
+    "outer-equator-circle": ((2.0, 1.0), np.pi / 2.0, 60.0, "DOP853"),
+    "ring-rk45": ((2.0, 1.0), 0.3, 60.0, "RK45"),
+    "ring-rk23": ((2.0, 1.0), 0.2, 20.0, "RK23"),
+    "ring-backward": ((2.0, 1.0), 0.119, -40.0, "DOP853"),
+    "ring-lambda-500": ((2.0, 1.0), 0.47, 500.0, "DOP853"),
+}
+
+
+def _battery_trace(name):
+    surf, beta0, lam, method = EVENT_BATTERY[name]
+    spec = SurfaceSpec(*surf)
+    tol = {"DOP853": (1e-12, 1e-13), "RK45": (1e-10, 1e-12), "RK23": (1e-8, 1e-10)}[method]
+    cfg = IntegratorConfig(rel_tol=tol[0], abs_tol=tol[1], max_lambda=lam,
+                           method=method)
+    return spec, integrate(spec, initial_state_from_angle(spec, beta0), cfg)
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_BATTERY))
+def test_events_match_per_step_scan(name):
+    spec, tr = _battery_trace(name)
+    got = [(ev.kind, ev.lam, tuple(ev.state.as_array())) for ev in tr.events]
+    assert got == _reference_events(spec, tr)
+    if name == "ring-lambda-500":
+        assert len(tr.lam) - 1 > 2 * dynamics._EVENT_BLOCK
+    if name == "outer-equator-circle":
+        assert got == []            # noise-level wobble about r = 0 is no crossing
+    else:
+        assert got
+
+
+@pytest.mark.parametrize("name", ["ring-rk45", "ring-lambda-500"])
+def test_stacked_samples_equal_dense_output(name):
+    _, tr = _battery_trace(name)
+    k0 = 0
+    for ts, ys in dynamics._event_samples(tr.config.method, tr.dense, tr.lam, tr.states):
+        assert ys.shape == (len(ts), 4, dynamics._EVENT_SUBSAMPLES + 1)
+        for k in range(len(ts)):
+            assert np.array_equal(ts[k], np.linspace(tr.lam[k0 + k], tr.lam[k0 + k + 1],
+                                                     dynamics._EVENT_SUBSAMPLES + 1))
+            assert np.array_equal(ys[k], tr.dense(ts[k]))
+        k0 += len(ts)
+    assert k0 == len(tr.lam) - 1
+
+
+# -- typed errors at the integrator boundary -------------------------------------
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_lambda": float("nan")}, {"max_lambda": float("inf")},
+    {"max_lambda": float("-inf")}, {"max_step": float("nan")},
+    {"max_step": 0.0}, {"max_step": -1.0},
+    {"method": "Radau"}, {"method": "LSODA"}, {"method": "rk45"},
+])
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(DomainError):
+        IntegratorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_integrate_rejects_non_finite_state(ring, bad):
+    for field in ("r", "theta", "vr", "vtheta"):
+        st = GeodesicState(**{**dict(r=0.0, theta=0.0, vr=0.6, vtheta=0.1), field: bad})
+        with pytest.raises(DomainError):
+            integrate(ring, st, _cfg(1.0))
+
+
+def test_zero_length_integration_takes_no_step(ring):
+    st = initial_state_from_angle(ring, 0.4)
+    tr = integrate(ring, st, IntegratorConfig(max_lambda=0.0))
+    assert tr.events == []
+    assert tr.final == GeodesicState(*st.as_array(), lam=0.0)
+
+
+def test_backward_integration_finds_events(ring):
+    st = initial_state_from_angle(ring, 0.119)
+    tr = integrate(ring, st, _cfg(-45.2))
+    inner = tr.events_of(INNER_EQUATOR)
+    assert len(inner) == 7
+    assert all(-45.2 < ev.lam < 0.0 for ev in inner)

@@ -143,3 +143,12 @@ def test_exp_map_rays(ring):
     assert np.max(np.abs(rays[-1].r)) < 1e-9
     with pytest.raises(DomainError):
         exp_map_rays(ring, n_rays=1)
+
+
+def test_exp_map_rays_share_read_only_grids(ring):
+    rays = exp_map_rays(ring, n_rays=6, samples=20)
+    # spans: meridian 2 pi b; the four interior rays and the equator 2 pi (a+b)
+    assert len({id(ray.lam) for ray in rays}) == 2
+    assert all(ray.lam is rays[1].lam for ray in rays[1:])
+    with pytest.raises(ValueError):
+        rays[1].lam[0] = 1.0
