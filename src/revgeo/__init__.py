@@ -2,7 +2,7 @@
 
 Layers, roughly bottom to top:
 
-  surface        profile, metric, Christoffel symbols, curvature
+  surface        profile functions, families, curvature, embedding
   dynamics       geodesic ODEs, conservation, event-tagged integration
   potential      1d radial reduction: wells, turning points, critical angles
   integrals      orbit-angle / arc-length / affine-time quadratures
@@ -31,17 +31,18 @@ from .errors import (ConvergenceError, DomainError, ForbiddenRegionError,
                      NonexistentGeodesicError, NoSolutionError, RevgeoError,
                      SingularAxisError, UnstableOrbitError)
 from .flat_torus import FlatEntry, flat_lattice, flat_length, flat_segments
-from .integrals import (QuadratureConfig, affine_time, arc_length_bound_period,
-                        arc_length_unbound_loop, critical_divergence_estimate,
+from .integrals import (FrequencyBranch, QuadratureConfig, affine_time,
+                        arc_length_bound_period, arc_length_unbound_loop,
+                        critical_divergence_estimate, frequency_branch,
                         orbit_angle, theta_frequency_bound,
                         theta_frequency_unbound)
 from .potential import (CriticalAngles, GeodesicClass, OscillationData,
-                        PotentialProfile, TurningPoints, classify,
+                        PotentialProfile, TurningPoints, chi_sup, classify,
                         critical_angles, effective_potential,
                         effective_potential_derivative, potential_profile,
                         small_oscillation, turning_point)
-from .surface import (Family, SurfaceSpec, christoffel, embed,
-                      gaussian_curvature, make_torus, metric, normal, profile)
+from .surface import (Family, SurfaceSpec, embed, gaussian_curvature,
+                      make_torus, normal)
 from .two_point import (ConnectingGeodesic, RayPath, TwoPointResult,
                         arclength_of_momentum, exp_map_rays, rmax_of_momentum,
                         solve_two_point, theta_of_momentum)

@@ -7,10 +7,12 @@ curves trapped on the outer side, oscillating between turning circles.
 Labels are primitive: gcd(m, n) = 1. Multiples retrace the same curve.
 
 The resonance condition is theta_frequency(beta0) = m / n, solved for the
-launch angle beta0 away from the outer equator. Frequencies are monotone in
-beta0 on each branch, so bracketing plus brentq is reliable; the only care
-needed is near the critical angle, where the frequency approaches its limit
-logarithmically and brackets are built by marching beta_crit -+ exp(-t).
+launch angle beta0 away from the outer equator. N is monotone on each branch
+of beta0 and its limits at the two ends are known (integrals.frequency_branch),
+so a label exists exactly when m/n lies strictly between them. Each root is
+bracketed once: a coarse brentq in the log of the distance to the branch's
+singular end (beta_crit on ring tori, where N approaches 0 logarithmically,
+and the apex beta0 = 0 elsewhere), then a polish in beta0.
 """
 
 from __future__ import annotations
@@ -27,17 +29,16 @@ from .dynamics import (OUTER_EQUATOR, GeodesicState, IntegratorConfig,
                        OrbitTrace, initial_state_from_angle, integrate)
 from .errors import (ConvergenceError, DomainError, InvalidParameterError,
                      NonexistentGeodesicError)
-from .integrals import (QuadratureConfig, arc_length_bound_period,
-                        arc_length_unbound_loop, orbit_angle,
+from .integrals import (QuadratureConfig, _w_of_beta0, arc_length_bound_period,
+                        arc_length_unbound_loop, frequency_branch, orbit_angle,
                         theta_frequency_bound, theta_frequency_unbound)
 from .potential import critical_angles, turning_point
 from .surface import Family, SurfaceSpec
 
 _DEFAULT_QUAD = QuadratureConfig()
-
-# how close to pi/2 the upper bracket for bound roots may sit before
-# sin(beta0) rounds to 1 and the turning point collapses
-_TOP_MARGIN = 1e-7
+_EPS = float(np.finfo(float).eps)
+# bracket width in log-distance left to the polish in beta0
+_COARSE_XTOL = 1.0
 
 
 @dataclass(frozen=True)
@@ -74,80 +75,74 @@ def _as_label(label) -> ClosedLabel:
     return ClosedLabel(*label)
 
 
-def _march_bracket(f, betas):
-    """First beta in the iterable where f < 0, else None. Skips failures."""
-    for beta in betas:
-        try:
-            if f(beta) < 0.0:
-                return beta
-        except (DomainError, ZeroDivisionError, FloatingPointError):
-            continue
-    return None
+def _ratio(N, target):
+    """(N - target) / (N + target): the sign of N - target, finite for N = inf."""
+    return 1.0 if N == math.inf else (N - target) / (N + target)
 
 
-def _solve_unbound_root(spec, target, config):
-    crit = critical_angles(spec)
-    bc = crit.beta_crit
+def _solve_root(spec, br, target, config):
+    """The launch angle on branch br where N = target; br must contain it.
 
-    def f(beta):
-        return theta_frequency_unbound(spec, beta, config) - target
-
-    # N decreases from +inf at beta0 -> 0 to 0 at beta_crit
-    lo = None
-    beta = 0.5 * bc
-    for _ in range(60):
-        if f(beta) > 0.0:
-            lo = beta
-            break
-        beta *= 0.5
-    if lo is None:
-        raise ConvergenceError(f"could not bracket N = {target} from below")
-    # upper side: log-march toward the critical angle
-    t_cap = -np.log(4.0 * np.finfo(float).eps * bc)
-    hi = _march_bracket(f, (bc - np.exp(-t) for t in np.arange(1.0, t_cap, 2.0)))
-    if hi is None:
-        raise ConvergenceError(
-            f"N = {target} requires a launch angle closer to beta_crit than "
-            "double precision can represent", best=bc)
-    return brentq(f, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
-
-
-def _solve_bound_root(spec, target, config):
-    crit = critical_angles(spec)
-    sup = np.sqrt(spec.c + 2.0)
-    if target >= sup * (1.0 - 1e-12):
-        raise NonexistentGeodesicError(
-            f"m/n = {target} is not below the frequency supremum sqrt(c+2) = {sup}")
+    A coarse brentq in t, the log of the distance to the singular end, then
+    a polish in beta0 on the bracket it leaves. N is never evaluated at an
+    end, whose value comes from the table. The one probe is the launch angle
+    nearest the singular end: the last representable one next to beta_crit
+    on ring tori, eps * pi/2 at the apex. It is evaluated first on the
+    unbound branch and, elsewhere, only if the root lies closer than every
+    other evaluated angle: next to beta_crit on the bound branch its
+    integral costs about ten ordinary ones. A root beyond it raises
+    ConvergenceError.
+    """
+    freq = theta_frequency_unbound if br.far < br.end else theta_frequency_bound
+    vals = {br.far: _ratio(br.n_far, target)}   # the far end, from the table
 
     def f(beta):
-        return theta_frequency_bound(spec, beta, config) - target
+        if beta not in vals:
+            vals[beta] = _ratio(freq(spec, beta, config), target)
+        return vals[beta]
 
-    hi = np.pi / 2.0 - _TOP_MARGIN
-    if f(hi) <= 0.0:
-        raise NonexistentGeodesicError(
-            f"m/n = {target} exceeds the attainable bound frequencies")
-    if crit.beta_crit is not None:
-        # ring: N -> 0 logarithmically just above beta_crit
-        bc = crit.beta_crit
-        t_cap = -np.log(4.0 * np.finfo(float).eps * bc)
-        lo = _march_bracket(f, (bc + np.exp(-t) for t in np.arange(0.0, t_cap, 2.0)
-                                if bc + np.exp(-t) < hi))
-        if lo is None:
-            raise ConvergenceError(
-                f"could not bracket N = {target} above beta_crit", best=bc)
+    width = abs(br.far - br.end)
+    if br.end > 0.0:
+        # double precision must still put the launch strictly on the
+        # branch: w = (c+2) sin(beta0) off c
+        near = float(np.nextafter(br.end, br.far))
+        while (_w_of_beta0(spec, near) - spec.c) * (br.far - br.end) <= 0.0:
+            near = float(np.nextafter(near, br.far))
     else:
-        # horn and spindle: every launch is bound, but the frequency need not
-        # sweep down to zero, so failure to bracket means nonexistence
-        lo = _march_bracket(f, ((np.pi / 2.0) * 2.0 ** (-k) for k in range(1, 45)))
-        if lo is None:
-            raise NonexistentGeodesicError(
-                f"m/n = {target} lies below the bound-frequency range of this surface")
-    return brentq(f, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+        near = _EPS * width
+    end_value = f(near) if br.far < br.end else _ratio(br.n_end, target)
+    t_near, t_far = math.log(abs(near - br.end)), math.log(width)
+    bracket = {br.n_end > target: near, br.n_far > target: br.far}
+
+    def g(t):
+        if t <= t_near:
+            return end_value
+        if t >= t_far:
+            return f(br.far)
+        beta = br.end + math.copysign(math.exp(t), br.far - br.end)
+        val = f(beta)
+        bracket[val > 0.0] = beta
+        return val
+
+    try:
+        # either brentq finds no sign change if the root lies beyond the probe
+        brentq(g, t_near, t_far, xtol=_COARSE_XTOL)
+        return brentq(f, bracket[False], bracket[True], xtol=1e-15, rtol=4.0 * _EPS)
+    except ValueError:
+        raise ConvergenceError(
+            f"N = {target} needs a launch angle closer to the singular end "
+            f"{br.end} than {near}, the nearest that double precision resolves",
+            best=near) from None
 
 
 def find_closed(spec: SurfaceSpec, label, config: QuadratureConfig = _DEFAULT_QUAD
                 ) -> ClosedGeodesic:
-    """Solve the resonance [m, n; p] for its launch angle and circuit length."""
+    """Solve the resonance [m, n; p] for its launch angle and circuit length.
+
+    [m, n; p] exists exactly when m/n lies strictly between the limits of N
+    at the two ends of its branch (frequency_branch); that is decided before
+    any quadrature runs.
+    """
     lab = _as_label(label)
     if spec.family is Family.SPHERE:
         raise DomainError("every great circle on the sphere closes; "
@@ -169,16 +164,20 @@ def find_closed(spec: SurfaceSpec, label, config: QuadratureConfig = _DEFAULT_QU
         return ClosedGeodesic(lab, 0.0, 2.0 * np.pi * spec.b, None, None)
 
     target = m / n
+    br = frequency_branch(spec, p)
+    if br is None:
+        raise NonexistentGeodesicError(
+            "inner-equator-crossing geodesics need an unbound branch; "
+            f"the {spec.family.value} torus has none")
+    lo, hi = br.limits
+    if not lo < target < hi:
+        raise NonexistentGeodesicError(
+            f"m/n = {target} lies outside the frequency range ({lo}, {hi}) "
+            f"of the {'unbound' if p else 'bound'} branch")
+    beta0 = _solve_root(spec, br, target, config)
     if p == 1:
-        if spec.family is not Family.RING:
-            raise NonexistentGeodesicError(
-                "inner-equator-crossing geodesics need an unbound branch; "
-                f"the {spec.family.value} torus has none")
-        beta0 = _solve_unbound_root(spec, target, config)
         length = arc_length_unbound_loop(spec, beta0, loops=m, config=config)
         return ClosedGeodesic(lab, float(beta0), float(length), target, None)
-
-    beta0 = _solve_bound_root(spec, target, config)
     length = m * arc_length_bound_period(spec, beta0, config)
     tp = turning_point(spec, beta0)
     return ClosedGeodesic(lab, float(beta0), float(length), target,
@@ -276,6 +275,7 @@ class RefineResult:
     beta0: float
     theta_mismatch: float
     iterations: int
+    converged: bool                # False: stopped on a step below 1e-15
 
 
 def refine_via_ode(spec: SurfaceSpec, label, beta0: float,
@@ -285,6 +285,8 @@ def refine_via_ode(spec: SurfaceSpec, label, beta0: float,
     The defect is the azimuth error theta(lambda*) - 2 pi n measured when the
     m-th radial period completes; a secant iteration drives it to zero. An
     angle that is already a root is a fixed point and returns unchanged.
+    The iteration also stops when its step falls below 1e-15; if the
+    defect is then still 1e-12 or more, the result has converged = False.
     Independent of the quadrature route, so agreement between the two is a
     real cross-check rather than a tautology.
     """
@@ -326,7 +328,7 @@ def refine_via_ode(spec: SurfaceSpec, label, beta0: float,
     x0 = float(beta0)
     f0 = defect(x0)
     if abs(f0) < 1e-12:
-        return RefineResult(x0, f0, 0)
+        return RefineResult(x0, f0, 0, True)
     x1 = on_branch(x0, x0 + np.copysign(1e-7 * max(abs(x0), 1e-2), -f0))
     f1 = defect(x1)
     for k in range(2, 26):
@@ -336,7 +338,7 @@ def refine_via_ode(spec: SurfaceSpec, label, beta0: float,
         x0, f0, x1 = x1, f1, x2
         f1 = defect(x1)
         if abs(f1) < 1e-12 or abs(x1 - x0) < 1e-15:
-            return RefineResult(x1, f1, k)
+            return RefineResult(x1, f1, k, abs(f1) < 1e-12)
     raise ConvergenceError("secant refinement stalled", best=x1)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, ForbiddenRegionError
-from .potential import critical_angles, turning_point
+from .potential import chi_sup, critical_angles, turning_point
 from .surface import Family, SurfaceSpec
 
 _ORBIT = "orbit"
@@ -46,6 +46,8 @@ _TURN_EPS = 1e-9
 # fraction of chi_max up to which plain quadrature is used before switching
 # to the substituted tail
 _DIRECT_FRACTION = 0.75
+# pi - math.pi, the part of pi a double drops
+_PI_TAIL = math.sin(math.pi)
 
 
 @dataclass(frozen=True)
@@ -137,30 +139,36 @@ def _bound_tail(spec, w, chi_max, chi_from, kind, cfg):
 
     Substituting chi = chi_max - u^2 cancels the 1/sqrt endpoint: the factor
     sin((chi_max - chi)/2) = sin(u^2/2) contributes u * sqrt(sinc), leaving a
-    smooth integrand in u.
+    smooth integrand in u. rho = w + (rho - w) keeps its digits where the
+    turning point nears the axis and rho is as small as w.
     """
-    c, w, chi_max, orbit = float(spec.c), float(w), float(chi_max), kind == _ORBIT
+    w, chi_max, orbit = float(w), float(chi_max), kind == _ORBIT
 
     def h(u):
         uu = u * u
-        chi = chi_max - uu
-        g = math.cos(0.5 * chi)
-        rho = c + 2.0 * g ** 2
-        # sin(q)/q, with q rounded through q / pi as np.sinc(q / pi) rounds
-        # it, so every value and every quad subdivision stays bit-identical
-        q = math.pi * (0.5 * uu / math.pi)
-        sinc = math.sin(q) / q if q else 1.0
-        A = sinc * math.sin(0.5 * (chi + chi_max)) * (rho + w)
-        return 2.0 * _integrand(orbit, w, rho, A)
+        half = 0.5 * uu
+        sinc = math.sin(half) / half if half else 1.0
+        # sin((chi + chi_max)/2) = sin(chi_max - u^2/2), through its
+        # supplement near pi, where the sum would drown a near-critical layer
+        s = sinc * math.sin(min(chi_max - half, (math.pi - chi_max) + half + _PI_TAIL))
+        rho = w + uu * s
+        return 2.0 * _integrand(orbit, w, rho, s * (rho + w))
 
     upper = np.sqrt(chi_max - chi_from)
-    points = None
-    if chi_max > 3.0:
-        # near-critical: h has a boundary layer of width sqrt(pi - chi_max)
-        # at u = 0; hand quad the breakpoint
-        layer = np.sqrt(np.pi - chi_max)
-        if 0.0 < layer < upper:
-            points = [layer]
+    top = chi_sup(spec)
+    if top - chi_max >= np.pi - 3.0:
+        return _quad(h, 0.0, upper, cfg)
+    if spec.family is Family.SPINDLE:
+        # near the apex h has a layer of width sqrt(w / sin(chi_sup)) at
+        # u = 0 whose tail falls as u^-3, too fast for quad to see from a
+        # breakpoint; u = layer sinh(v) spreads it evenly over v
+        layer = math.sqrt(w / math.sin(top))
+        return _quad(lambda v: h(layer * math.sinh(v)) * layer * math.cosh(v),
+                     0.0, math.asinh(upper / layer), cfg)
+    # near-critical: h has a boundary layer of width sqrt(pi - chi_max) at
+    # u = 0 with a 1/u tail; hand quad the breakpoint
+    layer = np.sqrt(top - chi_max)
+    points = [layer] if 0.0 < layer < upper else None
     return _quad(h, 0.0, upper, cfg, points=points)
 
 
@@ -205,6 +213,40 @@ def orbit_angle(spec: SurfaceSpec, beta0: float, chi: float,
     return sign * _bound_primitive(spec, w, tp.chi_max, xa, _ORBIT, config)
 
 
+@dataclass(frozen=True)
+class FrequencyBranch:
+    """A branch of N(beta0), monotone from the singular end `end` (beta_crit,
+    or the apex 0) to `far`, with the limits n_end and n_far of N there."""
+    end: float
+    far: float
+    n_end: float
+    n_far: float
+
+    @property
+    def limits(self):
+        return min(self.n_end, self.n_far), max(self.n_end, self.n_far)
+
+
+def frequency_branch(spec: SurfaceSpec, p: int):
+    """The unbound (p = 1) or bound (p = 0) branch of N, or None if absent.
+
+        branch        N at the singular end       N at the far end
+        ring unbound  0 at beta_crit              +inf at 0
+        ring bound    0 at beta_crit              sqrt(c+2) at pi/2
+        horn          0 at 0                      sqrt(2) at pi/2
+        spindle       sqrt(-c(c+2)) at the apex   sqrt(c+2) at pi/2
+
+    N decreases in beta0 on the unbound branch and on the lemon (c < -1).
+    """
+    sup = math.sqrt(spec.c + 2.0)
+    bc = critical_angles(spec).beta_crit
+    if p == 1:
+        return None if bc is None else FrequencyBranch(bc, 0.0, 0.0, math.inf)
+    if bc is not None:
+        return FrequencyBranch(bc, 0.5 * math.pi, 0.0, sup)
+    return FrequencyBranch(0.0, 0.5 * math.pi, math.sqrt(abs(spec.c * (spec.c + 2.0))), sup)
+
+
 def theta_frequency_unbound(spec: SurfaceSpec, beta0: float,
                             config: QuadratureConfig = _DEFAULT) -> float:
     """Radial loops per azimuthal revolution, N = 2 pi / G(2 pi, beta0)."""
@@ -222,19 +264,23 @@ def theta_frequency_bound(spec: SurfaceSpec, beta0: float,
                           config: QuadratureConfig = _DEFAULT) -> float:
     """Radial oscillations per revolution for bound launches.
 
-    Increases from 0 just above beta_crit to the supremum sqrt(c+2) at
-    beta0 = pi/2 (returned exactly there as the analytic limit).
+    Monotone from its limit at the singular end (0 at beta_crit on ring
+    tori and the horn's apex, sqrt(-c(c+2)) at a spindle's apex) to
+    sqrt(c+2), returned exactly at beta0 = pi/2; see frequency_branch.
+    Where N comes closer to a limit than rounding, the limit is returned.
     """
-    crit = critical_angles(spec)
-    lo = crit.beta_crit if crit.beta_crit is not None else 0.0
-    if not lo < beta0 <= np.pi / 2.0:
-        raise DomainError(f"beta0={beta0} outside the bound range ({lo}, pi/2]")
+    br = frequency_branch(spec, 0)
+    if not br.end < beta0 <= np.pi / 2.0:
+        raise DomainError(f"beta0={beta0} outside the bound range ({br.end}, pi/2]")
     tp = turning_point(spec, beta0)
-    if tp.chi_max is None or tp.chi_max == 0.0:
-        return float(np.sqrt(spec.c + 2.0))
+    if tp.chi_max is None:
+        return 0.0              # sin(beta0) rounds below the critical level
+    if tp.chi_max == 0.0:
+        return br.n_far
     w = _w_of_beta0(spec, beta0)
     quarter = _bound_tail(spec, w, tp.chi_max, 0.0, _ORBIT, config)
-    return 2.0 * np.pi / (4.0 * quarter)
+    lo, hi = br.limits
+    return min(max(2.0 * np.pi / (4.0 * quarter), lo), hi)
 
 
 def arc_length_unbound_loop(spec: SurfaceSpec, beta0: float, loops: int = 1,

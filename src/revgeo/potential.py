@@ -43,12 +43,6 @@ class PotentialProfile:
     U_inner: float                 # barrier at r = b*pi (inf off ring tori)
     chi_inf: Optional[float]       # spindle axis angle where U blows up
 
-    def u(self, r):
-        return effective_potential(self.spec, self.ell, r)
-
-    def du_dr(self, r):
-        return effective_potential_derivative(self.spec, self.ell, r)
-
 
 @dataclass(frozen=True)
 class TurningPoints:
@@ -97,9 +91,7 @@ def potential_profile(spec: SurfaceSpec, ell: float) -> PotentialProfile:
         # off ring tori the surface meets the axis before chi reaches pi,
         # so the well is closed by an infinite wall
         U_inner = np.inf
-    chi_inf = None
-    if spec.family is Family.SPINDLE:
-        chi_inf = float(np.arccos(-(spec.c + 1.0)))
+    chi_inf = chi_sup(spec) if spec.family is Family.SPINDLE else None
     return PotentialProfile(spec, ell, U0, U_inner, chi_inf)
 
 
@@ -154,10 +146,16 @@ def critical_angles(spec: SurfaceSpec) -> CriticalAngles:
     beta_crit = float(np.arcsin(c / (2.0 + c))) if spec.family is Family.RING else None
     ratio = (1.0 + c) / (2.0 + c)
     beta_polar = float(np.arcsin(ratio)) if 0.0 <= ratio <= 1.0 else None
-    chi_inf = None
-    if spec.family is Family.SPINDLE:
-        chi_inf = float(np.arccos(-(c + 1.0)))
+    chi_inf = chi_sup(spec) if spec.family is Family.SPINDLE else None
     return CriticalAngles(beta_crit, beta_polar, chi_inf)
+
+
+def chi_sup(spec: SurfaceSpec) -> float:
+    """Supremum of the turning angle: the inner equator pi on ring tori,
+    else the axis angle arccos(-(c+1)) (pi on the horn, the apex on spindles)."""
+    if spec.family is Family.RING:
+        return float(np.pi)
+    return float(np.arccos(-(spec.c + 1.0)))
 
 
 def small_oscillation(spec: SurfaceSpec, ell: float) -> OscillationData:

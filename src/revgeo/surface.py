@@ -79,27 +79,6 @@ class SurfaceSpec:
         return self.b * np.sin(r / self.b)
 
 
-@dataclass(frozen=True)
-class ProfileEval:
-    R: float
-    Rprime: float
-    Zprime: float
-
-
-@dataclass(frozen=True)
-class MetricAt:
-    g_rr: float
-    g_thth: float
-    inv_g_rr: float
-    inv_g_thth: float
-
-
-@dataclass(frozen=True)
-class ChristoffelAt:
-    Gamma_r_thth: float
-    Gamma_th_rth: float
-
-
 def make_torus(a: float, b: float) -> SurfaceSpec:
     """Validate (a, b) and classify the torus family.
 
@@ -111,34 +90,11 @@ def make_torus(a: float, b: float) -> SurfaceSpec:
     return SurfaceSpec(float(a), float(b))
 
 
-def profile(spec: SurfaceSpec, r) -> ProfileEval:
-    """Profile functions at radial arc length r. R'^2 + Z'^2 = 1 identically."""
-    return ProfileEval(spec.R(r), spec.Rprime(r), spec.Zprime(r))
-
-
-def metric(spec: SurfaceSpec, r) -> MetricAt:
-    """Metric components in (r, theta) coordinates: g_rr = 1, g_thth = R^2."""
-    R = spec.R(r)
-    g = R * R
-    return MetricAt(1.0, g, 1.0, 1.0 / g if g != 0 else np.inf)
-
-
 def _require_off_axis(spec: SurfaceSpec, r):
     R = spec.R(r)
     if np.any(np.abs(R) < AXIS_EPS * spec.b):
         raise SingularAxisError(f"surface meets the axis at r={r} (R={R})")
     return R
-
-
-def christoffel(spec: SurfaceSpec, r) -> ChristoffelAt:
-    """Nonzero Christoffel symbols of the surface metric.
-
-    Gamma^r_thth = -R R' and Gamma^th_rth = R'/R; all others vanish because
-    r is arc length along the meridian.
-    """
-    R = _require_off_axis(spec, r)
-    Rp = spec.Rprime(r)
-    return ChristoffelAt(-R * Rp, Rp / R)
 
 
 def embed(spec: SurfaceSpec, r, theta) -> np.ndarray:

@@ -25,6 +25,7 @@ from .dynamics import IntegratorConfig, initial_state_from_angle, integrate
 from .errors import DomainError, ForbiddenRegionError, NoSolutionError
 from .integrals import (_LENGTH, _ORBIT, QuadratureConfig, _bound_primitive,
                         _bound_tail, _monotone_arc, _rho)
+from .potential import chi_sup
 from .surface import Family, SurfaceSpec
 
 _DEFAULT = QuadratureConfig()
@@ -89,13 +90,6 @@ class TwoPointResult:
 def _chart_check(spec, r, name):
     if spec.R(r) <= 0.0:
         raise DomainError(f"{name} = {r} lies outside the surface chart (R <= 0)")
-
-
-def _chi_sup(spec):
-    """Largest |chi| a turning branch may approach: axis or inner equator."""
-    if spec.family is Family.RING:
-        return np.pi
-    return float(np.arccos(-(spec.c + 1.0)))
 
 
 def _on_circle(chi, which):
@@ -210,7 +204,7 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
     b, c = spec.b, spec.c
     ring = spec.family is Family.RING
     chi1, chi2 = r1 / b, r2 / b
-    chi_sup = _chi_sup(spec)
+    chi_top = chi_sup(spec)
     cands = []
 
     j_values = (-1, 0, 1) if ring else (0,)
@@ -229,7 +223,7 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
     # shared fold table and grid, reused across k
     table = _FoldTable(spec, chi1, chi2, config)
     t_min = max(abs(chi1), abs(chi2))
-    grid = _fold_grid(t_min, chi_sup, ring)
+    grid = _fold_grid(t_min, chi_top, ring)
     sweeps = {}
     if grid.size:
         terms = np.array([table.terms(t, _ORBIT) for t in grid])
@@ -248,7 +242,7 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
                 if chi_end == chi1:
                     continue
                 if not ring:
-                    if max(abs(chi1), abs(chi_end)) >= chi_sup:
+                    if max(abs(chi1), abs(chi_end)) >= chi_top:
                         continue
                 elif _min_rho_between(c, min(chi1, chi_end),
                                       max(chi1, chi_end))[0] <= 0.0:

@@ -1,11 +1,11 @@
-"""Surface geometry: profiles, families, metric, curvature, embedding."""
+"""Surface geometry: profiles, families, curvature, embedding."""
 
 import numpy as np
 import pytest
 
 from revgeo import InvalidParameterError, SurfaceSpec
-from revgeo.surface import (Family, christoffel, embed, gaussian_curvature,
-                            make_torus, metric, normal, profile)
+from revgeo.surface import (Family, embed, gaussian_curvature, make_torus,
+                            normal)
 
 
 def test_family_split():
@@ -56,21 +56,7 @@ def test_profile_unit_speed():
     # r is arc length along the meridian: R'^2 + Z'^2 = 1
     spec = SurfaceSpec(1.7, 0.6)
     r = np.linspace(-5.0, 5.0, 113)
-    p = profile(spec, r)
-    assert np.allclose(p.Rprime ** 2 + p.Zprime ** 2, 1.0, atol=1e-13)
-
-
-def test_metric_and_christoffel():
-    spec = SurfaceSpec(2.0, 1.0)
-    g = metric(spec, 0.0)
-    assert g.g_rr == 1.0
-    assert g.g_thth == pytest.approx(9.0, abs=1e-13)
-    assert g.inv_g_thth == pytest.approx(1.0 / 9.0, abs=1e-15)
-    gam = christoffel(spec, np.pi / 2.0)
-    # Gamma^r_thth = -R R', Gamma^th_{r th} = R'/R
-    p = profile(spec, np.pi / 2.0)
-    assert gam.Gamma_r_thth == pytest.approx(-p.R * p.Rprime, abs=1e-12)
-    assert gam.Gamma_th_rth == pytest.approx(p.Rprime / p.R, abs=1e-12)
+    assert np.allclose(spec.Rprime(r) ** 2 + spec.Zprime(r) ** 2, 1.0, atol=1e-13)
 
 
 def test_gaussian_curvature_signs():
