@@ -12,41 +12,62 @@ Layers, roughly bottom to top:
   central_force  the same reduction applied to planar orbits
 """
 
-from .central_force import (CircularOrbit, ForceParams, OrbitClass, PlaneOrbit,
-                            apsidal_angle, circular_radii, classify_orbit,
-                            epicyclic_frequency, integrate_orbit,
-                            perihelion_precession, total_potential,
-                            total_potential_derivative)
-from .closed import (ClosedGeodesic, ClosedLabel, CrossingRadius,
-                     PrecessionData, RefineResult, SelfIntersection,
-                     SpectrumEntry, SpectrumResult, crossing_points,
-                     find_closed, precession_rate, refine_via_ode,
-                     self_intersections, spectrum, verify_closure)
-from .dynamics import (INNER_EQUATOR, OUTER_EQUATOR, TURNING_POINT,
-                       ConservedSet, Event, GeodesicState, IntegratorConfig,
-                       OrbitTrace, conserved, geodesic_rhs,
-                       initial_state_from_angle, integrate)
-from .errors import (ConvergenceError, DomainError, ForbiddenRegionError,
-                     IntegrationError, InvalidParameterError,
-                     NonexistentGeodesicError, NoSolutionError, RevgeoError,
-                     SingularAxisError, UnstableOrbitError)
-from .flat_torus import FlatEntry, flat_lattice, flat_length, flat_segments
-from .integrals import (FrequencyBranch, QuadratureConfig, affine_time,
-                        arc_length_bound_period, arc_length_unbound_loop,
-                        critical_divergence_estimate, frequency_branch,
-                        orbit_angle, theta_frequency_bound,
-                        theta_frequency_unbound)
-from .potential import (CriticalAngles, GeodesicClass, OscillationData,
-                        PotentialProfile, TurningPoints, chi_sup, classify,
-                        critical_angles, effective_potential,
-                        effective_potential_derivative, potential_profile,
-                        small_oscillation, turning_point)
-from .surface import (Family, SurfaceSpec, embed, gaussian_curvature,
-                      make_torus, normal)
-from .two_point import (ConnectingGeodesic, RayPath, TwoPointResult,
-                        arclength_of_momentum, exp_map_rays, rmax_of_momentum,
-                        solve_two_point, theta_of_momentum)
+import importlib
+
+# public name -> the layer module that defines it; a layer is imported on
+# first access to one of its names, so `import revgeo` loads no scipy
+_LAYERS = {
+    "central_force": ("CircularOrbit", "ForceParams", "OrbitClass", "PlaneOrbit",
+                      "apsidal_angle", "circular_radii", "classify_orbit",
+                      "epicyclic_frequency", "integrate_orbit",
+                      "perihelion_precession", "total_potential",
+                      "total_potential_derivative"),
+    "closed": ("ClosedGeodesic", "ClosedLabel", "CrossingRadius",
+               "PrecessionData", "RefineResult", "SelfIntersection",
+               "SpectrumEntry", "SpectrumResult", "crossing_points",
+               "find_closed", "precession_rate", "refine_via_ode",
+               "self_intersections", "spectrum", "verify_closure"),
+    "dynamics": ("INNER_EQUATOR", "OUTER_EQUATOR", "TURNING_POINT",
+                 "ConservedSet", "Event", "GeodesicState", "IntegratorConfig",
+                 "OrbitTrace", "conserved", "geodesic_rhs",
+                 "initial_state_from_angle", "integrate"),
+    "errors": ("ConvergenceError", "DomainError", "ForbiddenRegionError",
+               "IntegrationError", "InvalidParameterError",
+               "NonexistentGeodesicError", "NoSolutionError", "RevgeoError",
+               "SingularAxisError", "UnstableOrbitError"),
+    "flat_torus": ("FlatEntry", "flat_lattice", "flat_length", "flat_segments"),
+    "integrals": ("FrequencyBranch", "QuadratureConfig", "affine_time",
+                  "arc_length_bound_period", "arc_length_unbound_loop",
+                  "critical_divergence_estimate", "frequency_branch",
+                  "orbit_angle", "theta_frequency_bound",
+                  "theta_frequency_unbound"),
+    "potential": ("CriticalAngles", "GeodesicClass", "OscillationData",
+                  "PotentialProfile", "TurningPoints", "chi_sup", "classify",
+                  "critical_angles", "effective_potential",
+                  "effective_potential_derivative", "potential_profile",
+                  "small_oscillation", "turning_point"),
+    "surface": ("Family", "SurfaceSpec", "embed", "gaussian_curvature",
+                "make_torus", "normal"),
+    "two_point": ("ConnectingGeodesic", "RayPath", "TwoPointResult",
+                  "arclength_of_momentum", "exp_map_rays", "rmax_of_momentum",
+                  "solve_two_point", "theta_of_momentum"),
+}
+_OWNER = {name: layer for layer, names in _LAYERS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_LAYERS, *_OWNER])
+
+
+def __getattr__(name):
+    if name in _LAYERS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,10 +7,16 @@ potential: V_phys = -k1/r - k2/r^3, which covers the Kepler problem (k2 = 0)
 and the leading relativistic correction (k2 > 0) that opens an inner
 capture zone behind a centrifugal barrier.
 
-Apsidal angles use the substitution r = mid - half cos(phi), under which
-the radicand 2(E - U) factors through the turning points exactly and the
-integrand becomes smooth on [0, pi]. For Kepler the result is pi to near
-machine precision; for small k2 the perihelion advance per orbit approaches
+Apsidal angles are closed-form. With u = 1/r the radicand of the orbit
+integral is the cubic 2 k2 (u - ua)(u - up)(u - u3), with roots at the
+apoapsis ua, the periapsis up and the inner factor root u3 behind the
+barrier, so the angle from periapsis to apoapsis is a complete elliptic
+integral of the first kind (Byrd & Friedman 233.00),
+
+    apsidal = 2 ell K(m) / sqrt(2 k2 (u3 - ua)),   m = (up - ua) / (u3 - ua),
+
+with K from the arithmetic-geometric mean. For Kepler (k2 = 0) it is
+exactly pi; for small k2 the perihelion advance per orbit approaches
 6 pi k1 k2 / ell^4.
 """
 
@@ -19,10 +25,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainError, InvalidParameterError, UnstableOrbitError
 
@@ -35,8 +39,17 @@ class ForceParams:
     k2: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.k1) and math.isfinite(self.k2)):
+            raise InvalidParameterError(
+                f"force constants must be finite, got k1={self.k1}, k2={self.k2}")
         if self.k1 < 0 or self.k2 < 0:
             raise InvalidParameterError("force constants must be >= 0 (attractive)")
+
+
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class OrbitClass(enum.Enum):
@@ -76,6 +89,7 @@ def circular_radii(params: ForceParams, ell: float) -> tuple:
     the outer one the stable minimum. Empty when ell^4 < 12 k1 k2: the
     centrifugal barrier is swallowed and every orbit plunges.
     """
+    _require_finite(ell=ell)
     k1, k2 = params.k1, params.k2
     if ell == 0.0:
         return ()
@@ -118,6 +132,7 @@ def classify_orbit(params: ForceParams, ell: float, E: float) -> tuple:
     With an inner capture zone the same energy generally allows two disjoint
     radial regions, so two classes are reported (inner first).
     """
+    _require_finite(ell=ell, E=E)
     k1, k2 = params.k1, params.k2
     if ell == 0.0:
         if k1 == 0.0 and k2 == 0.0:
@@ -157,8 +172,8 @@ def classify_orbit(params: ForceParams, ell: float, E: float) -> tuple:
 
 
 def _radial_roots(params, ell, E):
-    """Positive turning radii of 2(E - U) = 0, ascending, plus the inner
-    factor root r3 (None for k2 = 0)."""
+    """Positive roots of 2(E - U) = 0, ascending: the turning radii, led
+    for k2 > 0 by the inner factor root r3 behind the barrier."""
     k1, k2 = params.k1, params.k2
     if k2 == 0.0:
         roots = np.roots([2.0 * E, 2.0 * k1, -ell ** 2])
@@ -173,43 +188,30 @@ def apsidal_angle(params: ForceParams, ell: float, E: float) -> float:
     """Azimuth swept between successive periapsis and apoapsis passages.
 
     Defined for orbits bound in the annulus between two turning radii.
-    Exactly pi for the Kepler problem.
+    Exactly pi for the Kepler problem; infinite at the barrier top, where
+    the periapsis merges with the inner root.
     """
+    _require_finite(ell=ell, E=E)
     if ell == 0.0:
         raise DomainError("radial orbits have no apsidal angle")
     if E >= 0.0:
         raise DomainError("need E < 0 for an outer turning radius")
     roots = _radial_roots(params, ell, E)
+    if len(roots) != (2 if params.k2 == 0.0 else 3):
+        raise DomainError(f"E = {E} admits no bound annulus")
     if params.k2 == 0.0:
-        if len(roots) != 2:
-            raise DomainError(f"E = {E} admits no bound annulus")
-        rp, ra = roots
-        r3 = None
-    else:
-        if len(roots) != 3:
-            raise DomainError(f"E = {E} admits no bound annulus")
-        r3, rp, ra = roots
-    mid, half = 0.5 * (rp + ra), 0.5 * (ra - rp)
-    m2E, ell = -2.0 * float(E), float(ell)
-
-    def f(phi):
-        r = mid - half * math.cos(phi)
-        # 2(E - U) = (r - rp)(ra - r) * rad; the turning factors cancel
-        # against dr = half sin(phi) dphi, leaving a smooth integrand
-        if r3 is None:
-            rad = m2E / r ** 2
-        else:
-            rad = m2E * (r - r3) / r ** 3
-        # plain floats, as in the integrals kernels; a radicand that rounds
-        # to <= 0 (r3 = rp at the barrier top) gives numpy's nan or inf
-        try:
-            return (ell / r ** 2) / math.sqrt(rad)
-        except (ValueError, ZeroDivisionError):
-            with np.errstate(all="ignore"):
-                return float((ell / r ** 2) / np.sqrt(np.float64(rad)))
-
-    val, _ = quad(f, 0.0, np.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return float(val)
+        return math.copysign(math.pi, ell)
+    r3, rp, ra = roots
+    # K(m) = pi / (2 AGM(1, k')), k'^2 = 1 - m = (u3 - up) / (u3 - ua); the
+    # u differences are formed as r differences, u3 - up = (rp - r3) / (r3 rp),
+    # which keep their digits where rp nears r3 at the barrier top
+    a, b = 1.0, math.sqrt((rp - r3) * ra / ((ra - r3) * rp))
+    if b == 0.0:
+        return math.copysign(math.inf, ell)
+    while a - b > 1e-15 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    K = math.pi / (a + b)
+    return 2.0 * float(ell) * K / math.sqrt(2.0 * params.k2 * (ra - r3) / (r3 * ra))
 
 
 def perihelion_precession(params: ForceParams, ell: float, E: float) -> float:
@@ -241,8 +243,10 @@ def integrate_orbit(params: ForceParams, ell: float, r0: float, vr0: float,
     is the energy error relative to the local energy scale, so plunges report
     integrator quality instead of raw cancellation noise.
     """
+    _require_finite(ell=ell, r0=r0, vr0=vr0, t_max=t_max, theta0=theta0)
     if r0 <= 0.0:
         raise DomainError("need r0 > 0")
+    from scipy.integrate import solve_ivp
     k1, k2 = params.k1, params.k2
     r_floor = floor_factor * r0
 

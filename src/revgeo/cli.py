@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from . import central_force as cf
-from . import closed, dynamics, flat_torus, integrals, potential, two_point
+# the layers each subcommand runs are imported inside its runner, so a
+# command loads scipy only if it integrates, solves or bisects something
 from .errors import (ConvergenceError, DomainError, ForbiddenRegionError,
                      IntegrationError, InvalidParameterError,
                      NonexistentGeodesicError, NoSolutionError,
@@ -165,7 +165,8 @@ def _surface(args) -> SurfaceSpec:
     return make_torus(float(args.a), float(args.b))
 
 
-def _quad_config(args) -> integrals.QuadratureConfig:
+def _quad_config(args):
+    from . import integrals
     if getattr(args, "tol", None) is None:
         return integrals.QuadratureConfig()
     return integrals.QuadratureConfig(abs_tol=float(args.tol),
@@ -173,6 +174,7 @@ def _quad_config(args) -> integrals.QuadratureConfig:
 
 
 def _run_potential(args):
+    from . import potential
     spec = _surface(args)
     if args.ell is None:
         raise UsageError("potential needs --ell")
@@ -210,6 +212,7 @@ def _run_potential(args):
 
 
 def _run_geodesic(args):
+    from . import dynamics
     spec = _surface(args)
     if args.beta0 is None:
         raise UsageError("geodesic needs --beta0")
@@ -271,6 +274,7 @@ def _closure_gate(spec, beta_crit, geo):
 
 
 def _run_spectrum(args):
+    from . import closed, potential
     spec = _surface(args)
     _default(args, "m_max", 5)
     _default(args, "n_max", 5)
@@ -311,6 +315,7 @@ def _run_spectrum(args):
 
 
 def _bvp_curve(spec, r1, cand, samples=400):
+    from . import dynamics
     R1 = spec.R(r1)
     vth = cand.p / R1 ** 2
     arg = max(0.0, 1.0 - (cand.p / R1) ** 2)
@@ -324,6 +329,7 @@ def _bvp_curve(spec, r1, cand, samples=400):
 
 
 def _run_bvp(args):
+    from . import two_point
     spec = _surface(args)
     for need in ("r1", "r2", "dtheta"):
         if getattr(args, need) is None:
@@ -345,6 +351,7 @@ def _run_bvp(args):
 
 
 def _run_flat(args):
+    from . import flat_torus
     if args.m is not None and args.n is not None:
         segs = flat_torus.flat_segments(int(args.m), int(args.n))
         rows = [[s[0][0], s[0][1], s[1][0], s[1][1]] for s in segs]
@@ -362,6 +369,7 @@ def _run_flat(args):
 
 
 def _run_kepler(args):
+    from . import central_force as cf
     for need in ("k1", "ell"):
         if getattr(args, need) is None:
             raise UsageError(f"kepler needs --{need}")
@@ -399,6 +407,7 @@ def _run_kepler(args):
 
 
 def _run_expmap(args):
+    from . import two_point
     spec = _surface(args)
     _default(args, "rays", 24)
     _default(args, "samples", 400)

@@ -249,13 +249,19 @@ def frequency_branch(spec: SurfaceSpec, p: int):
 
 def theta_frequency_unbound(spec: SurfaceSpec, beta0: float,
                             config: QuadratureConfig = _DEFAULT) -> float:
-    """Radial loops per azimuthal revolution, N = 2 pi / G(2 pi, beta0)."""
+    """Radial loops per azimuthal revolution, N = 2 pi / G(2 pi, beta0).
+
+    Returns the limit 0 where rounding puts w = (c+2) sin(beta0) at or
+    above c just below beta_crit, and G diverges.
+    """
     crit = critical_angles(spec)
     if crit.beta_crit is None:
         raise DomainError("unbound nonradial geodesics exist only on ring tori")
     if not 0.0 < beta0 < crit.beta_crit:
         raise DomainError(f"beta0={beta0} outside the unbound range (0, {crit.beta_crit})")
     w = _w_of_beta0(spec, beta0)
+    if w >= spec.c:
+        return 0.0
     G = _unbound_integral(spec, w, 0.0, 2.0 * np.pi, _ORBIT, config)
     return 2.0 * np.pi / G
 
@@ -290,6 +296,9 @@ def arc_length_unbound_loop(spec: SurfaceSpec, beta0: float, loops: int = 1,
     if crit.beta_crit is None or not 0.0 <= beta0 < crit.beta_crit:
         raise DomainError("unbound loops require a ring torus and 0 <= beta0 < beta_crit")
     w = _w_of_beta0(spec, beta0)
+    if w >= spec.c:
+        raise DomainError(f"beta0={beta0} rounds onto the inner equator, "
+                          f"w = (c+2) sin(beta0) = {w} >= c: the loop never closes")
     L = spec.b * _unbound_integral(spec, w, 0.0, 2.0 * np.pi, _LENGTH, config)
     return loops * L
 

@@ -19,11 +19,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from revgeo import (ConvergenceError, NonexistentGeodesicError, SurfaceSpec,
-                    closed)
+from revgeo import (ConvergenceError, DomainError, NonexistentGeodesicError,
+                    SurfaceSpec, closed)
 from revgeo.closed import find_closed, refine_via_ode, verify_closure
-from revgeo.integrals import (frequency_branch, orbit_angle,
-                              theta_frequency_bound, theta_frequency_unbound)
+from revgeo.integrals import (arc_length_unbound_loop, frequency_branch,
+                              orbit_angle, theta_frequency_bound,
+                              theta_frequency_unbound)
 from revgeo.potential import critical_angles, turning_point
 
 RING = SurfaceSpec(2.0, 1.0)        # c = 1
@@ -215,6 +216,21 @@ def test_root_next_to_beta_crit_solves():
     geo = find_closed(spec, (1, 7, 0))
     assert 0.0 < geo.beta0 - bc < 2e-15
     assert theta_frequency_bound(spec, geo.beta0 + 4e-16) > 1.0 / 7.0
+
+
+def test_unbound_launch_rounding_onto_the_inner_equator():
+    # one ulp below beta_crit, w = (c+2) sin(beta0) rounds to c: the loop
+    # integral diverges, so N takes its limit and the loop has no length
+    spec = SurfaceSpec(3.6, 1.0)
+    beta0 = 0.6006967529359307
+    assert beta0 < critical_angles(spec).beta_crit
+    assert (spec.c + 2.0) * math.sin(beta0) == spec.c
+    assert theta_frequency_unbound(spec, beta0) == 0.0
+    with pytest.raises(DomainError, match="inner equator"):
+        arc_length_unbound_loop(spec, beta0)
+    below = float(np.nextafter(beta0, 0.0))
+    assert 0.0 < theta_frequency_unbound(spec, below) < 0.3
+    assert arc_length_unbound_loop(spec, below) > 0.0
 
 
 @pytest.mark.parametrize("spec,label", [

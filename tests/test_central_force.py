@@ -1,9 +1,14 @@
 """Planar central-force reduction: Kepler limit and the r^-3 correction."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from revgeo import DomainError, InvalidParameterError, UnstableOrbitError
+from revgeo import (DomainError, InvalidParameterError, UnstableOrbitError,
+                    central_force)
 from revgeo.central_force import (ForceParams, OrbitClass, apsidal_angle,
                                   circular_radii, classify_orbit,
                                   epicyclic_frequency, integrate_orbit,
@@ -19,6 +24,26 @@ def test_params_validation():
         ForceParams(-1.0, 0.0)
     with pytest.raises(InvalidParameterError):
         ForceParams(1.0, -0.1)
+    for k1, k2 in ((np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(InvalidParameterError):
+            ForceParams(k1, k2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_raise_domain_error(bad):
+    calls = [lambda: circular_radii(CORRECTED, bad),
+             lambda: classify_orbit(CORRECTED, bad, -0.3),
+             lambda: classify_orbit(CORRECTED, 1.0, bad),
+             lambda: apsidal_angle(CORRECTED, bad, -0.3),
+             lambda: apsidal_angle(CORRECTED, 1.0, bad),
+             lambda: apsidal_angle(KEPLER, 1.0, bad),
+             lambda: integrate_orbit(KEPLER, bad, 1.0, 0.0, 1.0),
+             lambda: integrate_orbit(KEPLER, 1.0, bad, 0.0, 1.0),
+             lambda: integrate_orbit(KEPLER, 1.0, 1.0, bad, 1.0),
+             lambda: integrate_orbit(KEPLER, 1.0, 1.0, 0.0, bad)]
+    for call in calls:
+        with pytest.raises(DomainError, match="finite"):
+            call()
 
 
 def test_potential_and_derivative():
@@ -126,3 +151,78 @@ def test_plunge_is_captured():
 def test_integrate_orbit_validation():
     with pytest.raises(DomainError):
         integrate_orbit(KEPLER, 1.0, -1.0, 0.0, 10.0)
+
+
+# -- the closed-form apsidal angle against two oracles -----------------------
+
+def _bound_cases():
+    """(params, ell, E) with k2 from 1e-6 to 0.1: ell puts the barrier
+    q times over the swallowing threshold ell^4 = 12 k1 k2, and E lies the
+    fraction f of the way from the stable circular orbit to the barrier top
+    (or to 0 where the top is positive)."""
+    for k2 in np.logspace(-6.0, -1.0, 6):
+        params = ForceParams(1.0, float(k2))
+        for q in (1.05, 2.0, 30.0):
+            ell = (12.0 * k2 * q) ** 0.25
+            inner, outer = circular_radii(params, ell)
+            top = min(inner.energy, 0.0)
+            for f in (1e-6, 0.5, 1.0 - 1e-6):
+                yield params, ell, outer.energy + f * (top - outer.energy), f
+
+
+def _mp_apsidal(params, ell, E):
+    """The orbit integral at 30 digits from the turning radii the library
+    forms: near the barrier top rounding them once moves the angle by far
+    more than the closed form's own error. In u = 1/r the radicand is
+    2 k2 (u - ua)(up - u)(u3 - u); u = mid - half cos(phi) cancels the
+    turning factors and leaves a smooth integrand on [0, pi]."""
+    r3, rp, ra = central_force._radial_roots(params, ell, E)
+    with mpmath.workdps(30):
+        u3, up, ua = (1 / mpmath.mpf(r) for r in (r3, rp, ra))
+        mid, half = (ua + up) / 2, (up - ua) / 2
+        k2, ell = mpmath.mpf(params.k2), mpmath.mpf(ell)
+        return mpmath.quad(
+            lambda phi: ell / mpmath.sqrt(2 * k2 * (u3 - mid + half * mpmath.cos(phi))),
+            [0, mpmath.pi])
+
+
+def _quad_apsidal(params, ell, E):
+    """The phi-substitution quadrature the closed form replaced: with
+    r = mid - half cos(phi) the radicand 2(E - U) = (r - rp)(ra - r) rad
+    loses its turning factors against dr = half sin(phi) dphi."""
+    roots = central_force._radial_roots(params, ell, E)
+    r3 = roots[0] if params.k2 else 0.0
+    rp, ra = roots[-2:]
+    mid, half = 0.5 * (rp + ra), 0.5 * (ra - rp)
+
+    def f(phi):
+        r = mid - half * math.cos(phi)
+        return (ell / r ** 2) / math.sqrt(-2.0 * E * (r - r3) / r ** 3)
+
+    return quad(f, 0.0, np.pi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+
+def test_apsidal_angle_against_mpmath():
+    for params, ell, E, _ in _bound_cases():
+        want = _mp_apsidal(params, ell, E)
+        got = apsidal_angle(params, ell, E)
+        assert abs(float((got - want) / want)) <= 1e-15, (params, ell, E)
+
+
+def test_apsidal_angle_against_quadrature():
+    # the quadrature keeps its 1e-13 tolerance except next to the barrier
+    # top, where its integrand grows a 1/phi layer
+    cases = [(p, ell, E) for p, ell, E, f in _bound_cases() if f < 0.9]
+    cases += [(KEPLER, 1.0, -0.3), (KEPLER, 0.7, -0.45), (CORRECTED, 1.0, -0.3)]
+    for params, ell, E in cases:
+        want = _quad_apsidal(params, ell, E)
+        assert apsidal_angle(params, ell, E) == pytest.approx(want, rel=1e-13)
+
+
+def test_apsidal_angle_signs_and_barrier_top(monkeypatch):
+    assert apsidal_angle(KEPLER, 1.0, -0.3) == np.pi
+    assert apsidal_angle(KEPLER, -1.0, -0.3) == -np.pi
+    assert apsidal_angle(CORRECTED, -1.0, -0.3) == -apsidal_angle(CORRECTED, 1.0, -0.3)
+    # the periapsis merging with the inner root: K(1) diverges
+    monkeypatch.setattr(central_force, "_radial_roots", lambda *_: [0.5, 0.5, 2.0])
+    assert apsidal_angle(CORRECTED, 1.0, -0.3) == math.inf

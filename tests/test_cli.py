@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from revgeo import cli
+from revgeo import cli, dynamics
 from revgeo.errors import IntegrationError
 
 
@@ -112,14 +112,14 @@ def test_geodesic_zero_lambda(capsys):
 
 def test_geodesic_partial_trace_flagged(capsys, monkeypatch):
     # numerical failure: emit the truncated trace, flag it, exit 3
-    real = cli.dynamics.integrate
+    real = dynamics.integrate
 
     def boom(spec, state0, config=None):
         trace = real(spec, state0,
-                     cli.dynamics.IntegratorConfig(max_lambda=5.0))
+                     dynamics.IntegratorConfig(max_lambda=5.0))
         raise IntegrationError("forced stop", trace=trace)
 
-    monkeypatch.setattr(cli.dynamics, "integrate", boom)
+    monkeypatch.setattr(dynamics, "integrate", boom)
     code, out, _ = run(capsys, "geodesic", "--beta0", "0.4",
                        "--lambda-max", "50", "--format", "json")
     assert code == 3
@@ -231,6 +231,22 @@ def test_kepler_capture_classes(capsys):
 def test_kepler_requires_k1(capsys):
     code, _, err = run(capsys, "kepler", "--ell", "1")
     assert code == 2 and "--k1" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--k1", "nan", "--ell", "1"),
+    ("--k1", "1", "--k2", "inf", "--ell", "1"),
+    ("--k1", "1", "--ell", "nan"),
+    ("--k1", "1", "--k2", "0.001", "--ell", "1", "--E", "nan"),
+    ("--k1", "1", "--ell", "1", "--E=-inf"),
+    ("--k1", "1", "--ell", "1", "--r0", "nan", "--t-max", "1"),
+    ("--k1", "1", "--ell", "1", "--r0", "1", "--vr0", "inf", "--t-max", "1"),
+    ("--k1", "1", "--ell", "1", "--r0", "1", "--t-max", "nan"),
+])
+def test_kepler_non_finite_input_exits_2(capsys, flags):
+    code, out, err = run(capsys, "kepler", *flags)
+    assert code == 2 and out == ""
+    assert "finite" in err
 
 
 # -- expmap ------------------------------------------------------------------
