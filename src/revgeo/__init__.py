@@ -49,8 +49,7 @@ _LAYERS = {
     "surface": ("Family", "SurfaceSpec", "embed", "gaussian_curvature",
                 "make_torus", "normal"),
     "two_point": ("ConnectingGeodesic", "RayPath", "TwoPointResult",
-                  "arclength_of_momentum", "exp_map_rays", "rmax_of_momentum",
-                  "solve_two_point", "theta_of_momentum"),
+                  "exp_map_rays", "solve_two_point"),
 }
 _OWNER = {name: layer for layer, names in _LAYERS.items() for name in names}
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, UnstableOrbitError
+from .errors import (DomainError, InvalidParameterError, UnstableOrbitError,
+                     _require_finite)
 
 _RTOL = 1e-12
 
@@ -44,12 +45,6 @@ class ForceParams:
                 f"force constants must be finite, got k1={self.k1}, k2={self.k2}")
         if self.k1 < 0 or self.k2 < 0:
             raise InvalidParameterError("force constants must be >= 0 (attractive)")
-
-
-def _require_finite(**values):
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class OrbitClass(enum.Enum):

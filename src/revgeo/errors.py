@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class RevgeoError(Exception):
     """Base class for all package errors."""
@@ -19,6 +21,12 @@ class DomainError(RevgeoError):
 
 class ForbiddenRegionError(DomainError):
     """Requested radial interval enters the energetically forbidden region."""
+
+
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class NonexistentGeodesicError(RevgeoError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import DomainError, ForbiddenRegionError
+from .errors import DomainError, ForbiddenRegionError, _require_finite
 from .potential import chi_sup, critical_angles, turning_point
 from .surface import Family, SurfaceSpec
 
@@ -197,6 +197,7 @@ def orbit_angle(spec: SurfaceSpec, beta0: float, chi: float,
     Odd in both chi and beta0. For bound launches chi must not pass the
     turning point chi_max(beta0).
     """
+    _require_finite(beta0=beta0, chi=chi)
     s = np.sin(beta0)
     if s == 0.0 or chi == 0.0:
         return 0.0
@@ -354,6 +355,7 @@ def affine_time(spec: SurfaceSpec, E: float, ell: float, r0: float, r: float,
     Signed like r - r0. Turning-point endpoints are fine (integrable);
     crossing into the region where E < U raises ForbiddenRegionError.
     """
+    _require_finite(E=E, ell=ell, r0=r0, r=r)
     if not E > 0:
         raise DomainError("affine_time requires positive energy")
     if r == r0:

@@ -11,6 +11,11 @@ Folded branches are parametrized by the turning radius r_t (so p = R(r_t)
 exactly, keeping the radicand factorization clean), monotone branches by p
 itself. Azimuth windings k and radial windings j are enumerated over small
 ranges; every root found is returned, sorted by arc length.
+
+A winding k only moves the target to dtheta + 2 pi k, so each sweep value
+is integrated once per solve and shared by every k: the fold table keeps
+its terms per turning radius, and each radial winding j keeps one table of
+monotone sweeps per momentum. The tables live for one call.
 """
 
 from __future__ import annotations
@@ -32,34 +37,6 @@ _DEFAULT = QuadratureConfig()
 
 # two candidates closer than this (relative) in length are flagged as a tie
 _TIE_RTOL = 1e-9
-
-
-def rmax_of_momentum(spec: SurfaceSpec, p: float) -> Optional[float]:
-    """Turning radius where R(r) = |p|, or None if the motion never turns."""
-    q = abs(p) / spec.b
-    if q > spec.c + 2.0:
-        raise DomainError(f"|p| = {abs(p)} exceeds the outer-equator radius")
-    if spec.family is Family.RING and q <= spec.c:
-        return None
-    return spec.b * float(np.arccos(np.clip(q - spec.c - 1.0, -1.0, 1.0)))
-
-
-def theta_of_momentum(spec: SurfaceSpec, p: float, r_a: float, r_b: float,
-                      config: QuadratureConfig = _DEFAULT) -> float:
-    """Azimuth swept along the monotone radial arc r_a -> r_b at constant p.
-
-    Signed by p. Raises ForbiddenRegionError if the arc enters R < |p|.
-    """
-    q = abs(p) / spec.b
-    val = _monotone_arc(spec, q, r_a / spec.b, r_b / spec.b, _ORBIT, config)
-    return float(np.copysign(1.0, p) * abs(val)) if p != 0.0 else 0.0
-
-
-def arclength_of_momentum(spec: SurfaceSpec, p: float, r_a: float, r_b: float,
-                          config: QuadratureConfig = _DEFAULT) -> float:
-    """Arc length of the same monotone arc; always positive."""
-    q = abs(p) / spec.b
-    return abs(_monotone_arc(spec, q, r_a / spec.b, r_b / spec.b, _LENGTH, config))
 
 
 @dataclass(frozen=True)
@@ -104,19 +81,26 @@ class _FoldTable:
     For turning radius t (in chi units) the azimuth and length of any fold
     pattern are linear combinations of the odd primitives T(t), T(chi1),
     T(chi2) with w = rho(t). The sweeps need only the three orbit terms;
-    the length terms are computed at accepted roots alone.
+    the length terms are computed at accepted roots alone. Each (t, kind)
+    is integrated once per table, so the grid pass serves every winding k
+    and the bracket ends of every brentq.
     """
 
     def __init__(self, spec, chi1, chi2, cfg):
         self.spec, self.chi1, self.chi2, self.cfg = spec, chi1, chi2, cfg
+        self._terms = {}
 
     def terms(self, t, kind):
         """(T(t), T(chi1), T(chi2)) of one kind, with T(t) computed once."""
-        spec, cfg = self.spec, self.cfg
-        w = _rho(spec.c, t)
-        Tt = _bound_tail(spec, w, t, 0.0, kind, cfg)
-        return (Tt, _bound_primitive(spec, w, t, self.chi1, kind, cfg, Tt),
+        key = (t, kind)
+        if key not in self._terms:
+            spec, cfg = self.spec, self.cfg
+            w = _rho(spec.c, t)
+            Tt = _bound_tail(spec, w, t, 0.0, kind, cfg)
+            self._terms[key] = (
+                Tt, _bound_primitive(spec, w, t, self.chi1, kind, cfg, Tt),
                 _bound_primitive(spec, w, t, self.chi2, kind, cfg, Tt))
+        return self._terms[key]
 
     # fold-pattern combinations: sweep = az coefficient dot (Tt, T1, T2)
     _COEF = {
@@ -159,15 +143,20 @@ def _min_rho_between(c, chi_lo, chi_hi):
     return end_min, False
 
 
-def _solve_monotone(spec, chi1, chi_end, target_abs, cfg):
-    """Roots of sweep(q) = target_abs on the monotone branch, as (q, length)."""
+def _solve_monotone(spec, chi1, chi_end, target_abs, cfg, table):
+    """Roots of sweep(q) = target_abs on the monotone branch, as (q, length).
+
+    table maps q to sweep(q) on this arc; the windings k share it.
+    """
     q_sup, interior = _min_rho_between(spec.c, min(chi1, chi_end),
                                        max(chi1, chi_end))
     if q_sup <= 0.0:
         return None
 
     def sweep(q):
-        return abs(_monotone_arc(spec, q, chi1, chi_end, _ORBIT, cfg))
+        if q not in table:
+            table[q] = abs(_monotone_arc(spec, q, chi1, chi_end, _ORBIT, cfg))
+        return table[q]
 
     f = lambda q: sweep(q) - target_abs
     hi = None
@@ -220,7 +209,8 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
         cands.append(ConnectingGeodesic(float(p), float(length), shape, j, k,
                                         float(span), vr_sign))
 
-    # shared fold table and grid, reused across k
+    # shared fold table and grid, and one monotone table per j, reused across k
+    monotone = {j: {} for j in j_values}
     table = _FoldTable(spec, chi1, chi2, config)
     t_min = max(abs(chi1), abs(chi2))
     grid = _fold_grid(t_min, chi_top, ring)
@@ -261,7 +251,7 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
             chi_end = chi2 + 2.0 * np.pi * j
             if chi_end == chi1:
                 continue
-            got = _solve_monotone(spec, chi1, chi_end, tabs, config)
+            got = _solve_monotone(spec, chi1, chi_end, tabs, config, monotone[j])
             if got is not None:
                 add(sgn * got[0] * b, got[1], "monotone", j, k, target,
                     int(np.sign(chi_end - chi1)))

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,30 @@ def run(capsys, *argv):
 
 def rows_of(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def readme_commands():
+    """The command lines of the fenced block in the README's CLI section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_commands_succeed(capsys, tmp_path):
+    commands = readme_commands()
+    assert len(commands) >= 10
+    outs = []
+    for words in commands:
+        assert words[0] == "revgeo", words
+        argv = words[1:]
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+            outs.append(Path(argv[i]))
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (words, err)
+    assert outs and all(out.stat().st_size > 0 for out in outs)
 
 
 # -- potential ---------------------------------------------------------------

@@ -102,6 +102,38 @@ def test_affine_time_meridian(ring):
                                                                    abs=1e-13)
 
 
+def test_affine_time_longer_than_chord(ring):
+    # unit speed (E = 1/2) and p = 1.5: the arc is longer than its radial chord
+    t = affine_time(ring, 0.5, 1.5, 0.0, 1.0)
+    assert t > 1.0
+    assert affine_time(ring, 0.5, 1.5, 1.0, 0.0) == -t
+
+
+@pytest.mark.parametrize("beta0,chi,name", [
+    (0.3, np.inf, "chi"),           # the cuts at multiples of pi never end
+    (0.3, -np.inf, "chi"),
+    (0.3, np.nan, "chi"),
+    (np.nan, 0.5, "beta0"),
+    (np.inf, 0.5, "beta0"),
+])
+def test_orbit_angle_rejects_non_finite(ring, beta0, chi, name):
+    with pytest.raises(DomainError, match=rf"\b{name} must be finite"):
+        orbit_angle(ring, beta0, chi)
+
+
+@pytest.mark.parametrize("E,ell,r0,r,name", [
+    (0.5, 0.5, 0.0, np.inf, "r"),   # the cuts at multiples of pi never end
+    (0.5, 0.5, 0.0, np.nan, "r"),
+    (np.inf, 0.5, 0.0, 1.0, "E"),
+    (np.nan, 0.5, 0.0, 1.0, "E"),
+    (0.5, np.nan, 0.0, 1.0, "ell"),
+    (0.5, 0.5, np.nan, 1.0, "r0"),
+])
+def test_affine_time_rejects_non_finite(ring, E, ell, r0, r, name):
+    with pytest.raises(DomainError, match=rf"\b{name} must be finite"):
+        affine_time(ring, E, ell, r0, r)
+
+
 def test_critical_divergence_estimate(ring):
     chi = np.pi - 1e-10
     est = critical_divergence_estimate(ring, chi)

@@ -2,7 +2,7 @@
 
 `import revgeo` and the CLI subcommands that integrate, solve and bisect
 nothing must not import scipy, whose import costs several times the work of
-those commands; the public names stay those of the eager package.
+those commands; the public names are the pinned list below.
 """
 
 import json
@@ -31,7 +31,7 @@ PUBLIC = [
     'TURNING_POINT', 'TurningPoints', 'TwoPointResult',
     'UnstableOrbitError', 'affine_time', 'apsidal_angle',
     'arc_length_bound_period', 'arc_length_unbound_loop',
-    'arclength_of_momentum', 'central_force', 'chi_sup', 'circular_radii',
+    'central_force', 'chi_sup', 'circular_radii',
     'classify', 'classify_orbit', 'closed', 'conserved', 'critical_angles',
     'critical_divergence_estimate', 'crossing_points', 'dynamics',
     'effective_potential', 'effective_potential_derivative', 'embed',
@@ -41,9 +41,9 @@ PUBLIC = [
     'initial_state_from_angle', 'integrals', 'integrate', 'integrate_orbit',
     'make_torus', 'normal', 'orbit_angle', 'perihelion_precession',
     'potential', 'potential_profile', 'precession_rate', 'refine_via_ode',
-    'rmax_of_momentum', 'self_intersections', 'small_oscillation',
+    'self_intersections', 'small_oscillation',
     'solve_two_point', 'spectrum', 'surface', 'theta_frequency_bound',
-    'theta_frequency_unbound', 'theta_of_momentum', 'total_potential',
+    'theta_frequency_unbound', 'total_potential',
     'total_potential_derivative', 'turning_point', 'two_point',
     'verify_closure'
 ]

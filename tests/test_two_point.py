@@ -3,30 +3,11 @@
 import numpy as np
 import pytest
 
-from revgeo import DomainError, SurfaceSpec
+from revgeo import DomainError, SurfaceSpec, two_point
 from revgeo.dynamics import GeodesicState, IntegratorConfig, integrate
-from revgeo.two_point import (arclength_of_momentum, exp_map_rays,
-                              rmax_of_momentum, solve_two_point,
-                              theta_of_momentum)
+from revgeo.two_point import exp_map_rays, solve_two_point
 
 HALF_PERIOD = np.pi / np.sqrt(3.0)      # conjugate azimuth of the outer equator
-
-
-def test_rmax_of_momentum(ring):
-    assert rmax_of_momentum(ring, 0.5) is None          # |p| <= bc: unbound
-    r = rmax_of_momentum(ring, 2.0)
-    assert ring.R(r) == pytest.approx(2.0, abs=1e-14)
-    assert rmax_of_momentum(ring, -2.0) == pytest.approx(r)
-    with pytest.raises(DomainError):
-        rmax_of_momentum(ring, 3.5)                     # beyond outer radius
-
-
-def test_momentum_arcs_signs(ring):
-    th = theta_of_momentum(ring, 1.5, 0.0, 1.0)
-    assert th > 0.0
-    assert theta_of_momentum(ring, -1.5, 0.0, 1.0) == pytest.approx(-th)
-    assert theta_of_momentum(ring, 0.0, 0.0, 1.0) == 0.0
-    assert arclength_of_momentum(ring, 1.5, 0.0, 1.0) > 1.0
 
 
 def test_chart_validation(ring, spindle):
@@ -152,3 +133,23 @@ def test_exp_map_rays_share_read_only_grids(ring):
     assert all(ray.lam is rays[1].lam for ray in rays[1:])
     with pytest.raises(ValueError):
         rays[1].lam[0] = 1.0
+
+
+@pytest.mark.parametrize("a,b,r1,r2,dtheta", [
+    (2.0, 1.0, 0.3, 1.1, 0.8),
+    (1.0, 1.0, 0.2, 0.9, 0.6),
+    (0.5, 1.0, 0.3, -0.9, 1.3),
+])
+def test_each_sweep_value_integrated_once(monkeypatch, a, b, r1, r2, dtheta):
+    # the windings k share the monotone and fold tables: no orbit integral
+    # of a solve repeats its arguments
+    calls = []
+    for name in ("_monotone_arc", "_bound_tail", "_bound_primitive"):
+        def record(*args, _name=name, _fn=getattr(two_point, name)):
+            calls.append((_name,) + args)
+            return _fn(*args)
+        monkeypatch.setattr(two_point, name, record)
+    res = solve_two_point(SurfaceSpec(a, b), r1, r2, dtheta)
+    assert res.candidates
+    assert len(calls) > 100
+    assert len(set(calls)) == len(calls)
