@@ -23,8 +23,7 @@ print(f"length    = {geo.length:.10f}")
 print(f"frequency = {geo.frequency:.10f}  (7 radial loops per revolution)")
 
 state0 = initial_state_from_angle(ring, geo.beta0)
-cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=geo.length,
-                       method="DOP853")
+cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=geo.length)
 trace = integrate(ring, state0, cfg)
 
 # unit-speed launch: E = 1/2, ell = R(0) sin(beta0), Clairaut R sin(beta)

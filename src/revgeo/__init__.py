@@ -29,14 +29,14 @@ _LAYERS = {
                "self_intersections", "spectrum", "verify_closure"),
     "dynamics": ("INNER_EQUATOR", "OUTER_EQUATOR", "TURNING_POINT",
                  "ConservedSet", "Event", "GeodesicState", "IntegratorConfig",
-                 "OrbitTrace", "conserved", "geodesic_rhs",
-                 "initial_state_from_angle", "integrate"),
+                 "OrbitTrace", "conserved", "initial_state_from_angle",
+                 "integrate"),
     "errors": ("ConvergenceError", "DomainError", "ForbiddenRegionError",
                "IntegrationError", "InvalidParameterError",
                "NonexistentGeodesicError", "NoSolutionError", "RevgeoError",
                "SingularAxisError", "UnstableOrbitError"),
     "flat_torus": ("FlatEntry", "flat_lattice", "flat_length", "flat_segments"),
-    "integrals": ("FrequencyBranch", "QuadratureConfig", "affine_time",
+    "integrals": ("FrequencyBranch", "affine_time",
                   "arc_length_bound_period", "arc_length_unbound_loop",
                   "critical_divergence_estimate", "frequency_branch",
                   "orbit_angle", "theta_frequency_bound",
@@ -47,7 +47,7 @@ _LAYERS = {
                   "effective_potential_derivative", "potential_profile",
                   "small_oscillation", "turning_point"),
     "surface": ("Family", "SurfaceSpec", "embed", "gaussian_curvature",
-                "make_torus", "normal"),
+                "make_torus"),
     "two_point": ("ConnectingGeodesic", "RayPath", "TwoPointResult",
                   "exp_map_rays", "solve_two_point"),
 }

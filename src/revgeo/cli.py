@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, ForbiddenRegionError,
                      IntegrationError, InvalidParameterError,
                      NonexistentGeodesicError, NoSolutionError,
-                     RevgeoError, SingularAxisError)
+                     RevgeoError, SingularAxisError, _require_finite)
 from .surface import Family, SurfaceSpec, make_torus
 from .svg import svg_document
 
@@ -80,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json", "svg"), default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--config", default=None, help="JSON file preloading options")
-        p.add_argument("--tol", type=float, default=None,
-                       help="quadrature tolerance override")
 
     p = sub.add_parser("potential", help="effective potential profile")
     common(p)
@@ -165,12 +163,9 @@ def _surface(args) -> SurfaceSpec:
     return make_torus(float(args.a), float(args.b))
 
 
-def _quad_config(args):
-    from . import integrals
-    if getattr(args, "tol", None) is None:
-        return integrals.QuadratureConfig()
-    return integrals.QuadratureConfig(abs_tol=float(args.tol),
-                                      rel_tol=float(args.tol))
+def _require_samples(args):
+    if int(args.samples) < 1:
+        raise UsageError(f"{args.command} needs --samples >= 1, got {args.samples}")
 
 
 def _run_potential(args):
@@ -181,8 +176,10 @@ def _run_potential(args):
     _default(args, "samples", 512)
     _default(args, "chi_span",
              np.pi if spec.family is Family.RING else 2.0 * np.pi)
+    _require_samples(args)
     span = float(args.chi_span)
     ell = float(args.ell)
+    _require_finite(ell=ell, chi_span=span)
     chi = np.linspace(-span, span, int(args.samples))
     R = spec.R(chi * spec.b)
     inband = R > 1e-9 * spec.b
@@ -218,6 +215,7 @@ def _run_geodesic(args):
         raise UsageError("geodesic needs --beta0")
     _default(args, "lambda_max", 2.0 * np.pi * (spec.a + spec.b))
     _default(args, "samples", 800)
+    _require_samples(args)
     state0 = dynamics.initial_state_from_angle(spec, float(args.beta0))
     cfg = dynamics.IntegratorConfig(max_lambda=float(args.lambda_max))
     partial = False
@@ -280,7 +278,7 @@ def _run_spectrum(args):
     _default(args, "n_max", 5)
     p_values = (0, 1) if args.p is None else (int(args.p),)
     result = closed.spectrum(spec, int(args.m_max), int(args.n_max),
-                             p_values=p_values, config=_quad_config(args))
+                             p_values=p_values)
     if result.status != "ok":
         raise DomainError(f"spectrum unsupported on this family: {result.status}")
     solved = [e for e in result.entries if e.status == "solved"]
@@ -321,7 +319,7 @@ def _bvp_curve(spec, r1, cand, samples=400):
     arg = max(0.0, 1.0 - (cand.p / R1) ** 2)
     vr = cand.vr_sign * np.sqrt(arg)
     state0 = dynamics.GeodesicState(r=r1, theta=0.0, vr=float(vr), vtheta=float(vth))
-    cfg = dynamics.IntegratorConfig(max_lambda=cand.length, method="DOP853")
+    cfg = dynamics.IntegratorConfig(max_lambda=cand.length)
     trace = dynamics.integrate(spec, state0, cfg)
     lams = np.linspace(0.0, cand.length, samples)
     Y = trace.dense(lams)
@@ -337,8 +335,7 @@ def _run_bvp(args):
     _default(args, "k_max", 2)
     ks = tuple(range(-int(args.k_max), int(args.k_max) + 1))
     result = two_point.solve_two_point(spec, float(args.r1), float(args.r2),
-                                       float(args.dtheta), k_range=ks,
-                                       config=_quad_config(args))
+                                       float(args.dtheta), k_range=ks)
     rows = [[float(c.p), float(c.length), c.shape, c.radial_windings,
              c.azimuthal_windings, float(c.theta_span), c.vr_sign]
             for c in result.candidates]

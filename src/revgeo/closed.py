@@ -29,16 +29,17 @@ from .dynamics import (OUTER_EQUATOR, GeodesicState, IntegratorConfig,
                        OrbitTrace, initial_state_from_angle, integrate)
 from .errors import (ConvergenceError, DomainError, InvalidParameterError,
                      NonexistentGeodesicError)
-from .integrals import (QuadratureConfig, _w_of_beta0, arc_length_bound_period,
+from .integrals import (_w_of_beta0, arc_length_bound_period,
                         arc_length_unbound_loop, frequency_branch, orbit_angle,
                         theta_frequency_bound, theta_frequency_unbound)
 from .potential import critical_angles, turning_point
 from .surface import Family, SurfaceSpec
 
-_DEFAULT_QUAD = QuadratureConfig()
 _EPS = float(np.finfo(float).eps)
 # bracket width in log-distance left to the polish in beta0
 _COARSE_XTOL = 1.0
+# polyline vertices per radial period when scanning for double points
+_SAMPLES_PER_PERIOD = 4096
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def _ratio(N, target):
     return 1.0 if N == math.inf else (N - target) / (N + target)
 
 
-def _solve_root(spec, br, target, config):
+def _solve_root(spec, br, target):
     """The launch angle on branch br where N = target; br must contain it.
 
     A coarse brentq in t, the log of the distance to the singular end, then
@@ -98,7 +99,7 @@ def _solve_root(spec, br, target, config):
 
     def f(beta):
         if beta not in vals:
-            vals[beta] = _ratio(freq(spec, beta, config), target)
+            vals[beta] = _ratio(freq(spec, beta), target)
         return vals[beta]
 
     width = abs(br.far - br.end)
@@ -135,8 +136,7 @@ def _solve_root(spec, br, target, config):
             best=near) from None
 
 
-def find_closed(spec: SurfaceSpec, label, config: QuadratureConfig = _DEFAULT_QUAD
-                ) -> ClosedGeodesic:
+def find_closed(spec: SurfaceSpec, label) -> ClosedGeodesic:
     """Solve the resonance [m, n; p] for its launch angle and circuit length.
 
     [m, n; p] exists exactly when m/n lies strictly between the limits of N
@@ -174,11 +174,11 @@ def find_closed(spec: SurfaceSpec, label, config: QuadratureConfig = _DEFAULT_QU
         raise NonexistentGeodesicError(
             f"m/n = {target} lies outside the frequency range ({lo}, {hi}) "
             f"of the {'unbound' if p else 'bound'} branch")
-    beta0 = _solve_root(spec, br, target, config)
+    beta0 = _solve_root(spec, br, target)
     if p == 1:
-        length = arc_length_unbound_loop(spec, beta0, loops=m, config=config)
+        length = arc_length_unbound_loop(spec, beta0, loops=m)
         return ClosedGeodesic(lab, float(beta0), float(length), target, None)
-    length = m * arc_length_bound_period(spec, beta0, config)
+    length = m * arc_length_bound_period(spec, beta0)
     tp = turning_point(spec, beta0)
     return ClosedGeodesic(lab, float(beta0), float(length), target,
                           float(tp.chi_max))
@@ -202,8 +202,8 @@ class SpectrumResult:
         return tuple(e for e in self.entries if e.status == "solved")
 
 
-def spectrum(spec: SurfaceSpec, m_max: int, n_max: int, p_values=(0, 1),
-             config: QuadratureConfig = _DEFAULT_QUAD) -> SpectrumResult:
+def spectrum(spec: SurfaceSpec, m_max: int, n_max: int,
+             p_values=(0, 1)) -> SpectrumResult:
     """Solve every primitive label with m <= m_max, n <= n_max.
 
     Per-label failures are recorded in the entry status rather than raised,
@@ -226,7 +226,7 @@ def spectrum(spec: SurfaceSpec, m_max: int, n_max: int, p_values=(0, 1),
     entries = []
     for lab in labels:
         try:
-            geo = find_closed(spec, lab, config)
+            geo = find_closed(spec, lab)
             entries.append(SpectrumEntry(lab, "solved", geo))
         except NonexistentGeodesicError as exc:
             entries.append(SpectrumEntry(lab, "nonexistent", None, str(exc)))
@@ -243,8 +243,7 @@ def _closure_start(spec, geo) -> GeodesicState:
     return GeodesicState(r=r, theta=0.0, vr=0.0, vtheta=1.0 / spec.R(r))
 
 
-def verify_closure(spec: SurfaceSpec, geo: ClosedGeodesic,
-                   config: Optional[IntegratorConfig] = None) -> float:
+def verify_closure(spec: SurfaceSpec, geo: ClosedGeodesic) -> float:
     """Integrate one full circuit and return the phase-space closure residual.
 
     The residual is the Euclidean norm of (dr wrapped mod 2 pi b,
@@ -252,11 +251,7 @@ def verify_closure(spec: SurfaceSpec, geo: ClosedGeodesic,
     initial states after arc length `geo.length` at unit speed.
     """
     state0 = _closure_start(spec, geo)
-    cfg = config or IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13,
-                                     max_lambda=geo.length, method="DOP853")
-    if cfg.max_lambda != geo.length:
-        cfg = IntegratorConfig(cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-                               geo.length, cfg.method)
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=geo.length)
     trace = integrate(spec, state0, cfg)
     end = trace.final
     two_pi_b = 2.0 * np.pi * spec.b
@@ -278,8 +273,7 @@ class RefineResult:
     converged: bool                # False: stopped on a step below 1e-15
 
 
-def refine_via_ode(spec: SurfaceSpec, label, beta0: float,
-                   quad_config: QuadratureConfig = _DEFAULT_QUAD) -> RefineResult:
+def refine_via_ode(spec: SurfaceSpec, label, beta0: float) -> RefineResult:
     """Polish a launch angle by shooting the geodesic equations.
 
     The defect is the azimuth error theta(lambda*) - 2 pi n measured when the
@@ -297,13 +291,13 @@ def refine_via_ode(spec: SurfaceSpec, label, beta0: float,
 
     def defect(beta):
         if p == 0:
-            L_est = m * arc_length_bound_period(spec, beta, quad_config)
+            L_est = m * arc_length_bound_period(spec, beta)
             need = 2 * m
         else:
-            L_est = arc_length_unbound_loop(spec, beta, loops=m, config=quad_config)
+            L_est = arc_length_unbound_loop(spec, beta, loops=m)
             need = m
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13,
-                               max_lambda=1.05 * L_est + 1.0, method="DOP853")
+                               max_lambda=1.05 * L_est + 1.0)
         trace = integrate(spec, initial_state_from_angle(spec, beta), cfg)
         outer = trace.events_of(OUTER_EQUATOR)
         if len(outer) < need:
@@ -349,13 +343,12 @@ class PrecessionData:
     rate: float                    # advance minus the closure advance 2 pi n/m
 
 
-def precession_rate(spec: SurfaceSpec, beta0: float,
-                    config: QuadratureConfig = _DEFAULT_QUAD) -> PrecessionData:
+def precession_rate(spec: SurfaceSpec, beta0: float) -> PrecessionData:
     """Apsidal-style precession of a bound oscillation against its nearest resonance."""
     tp = turning_point(spec, beta0)
     if tp.chi_max is None or tp.chi_max == 0.0:
         raise DomainError("precession is defined for bound radial oscillations")
-    advance = 4.0 * orbit_angle(spec, beta0, tp.chi_max, config)
+    advance = 4.0 * orbit_angle(spec, beta0, tp.chi_max)
     N = 2.0 * np.pi / advance
     frac = Fraction(N).limit_denominator(50)
     if frac.numerator == 0:
@@ -422,8 +415,7 @@ def _circ_close(a, b, period, tol):
     return d < tol or period - d < tol
 
 
-def crossing_points(spec: SurfaceSpec, geo: ClosedGeodesic,
-                    samples_per_period: int = 4096) -> tuple:
+def crossing_points(spec: SurfaceSpec, geo: ClosedGeodesic) -> tuple:
     """Transverse double points of a closed geodesic over one circuit.
 
     The curve is sampled into a polyline in the (chi, theta) cover; because
@@ -442,10 +434,9 @@ def crossing_points(spec: SurfaceSpec, geo: ClosedGeodesic,
         return ()
     m, n = lab.m, lab.n
     L = geo.length
-    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, max_lambda=L,
-                           method="DOP853")
+    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, max_lambda=L)
     trace = integrate(spec, initial_state_from_angle(spec, geo.beta0), cfg)
-    M = samples_per_period * m
+    M = _SAMPLES_PER_PERIOD * m
     lams = np.linspace(0.0, L, M + 1)
     Y = trace.dense(lams)
     px = Y[0] / (2.0 * np.pi * spec.b)      # chi / 2 pi, no wrap needed: |chi| < pi
@@ -493,15 +484,14 @@ def crossing_points(spec: SurfaceSpec, geo: ClosedGeodesic,
     return tuple(sorted(found, key=lambda f: (f.lam1, f.lam2)))
 
 
-def self_intersections(spec: SurfaceSpec, geo: ClosedGeodesic,
-                       samples_per_period: int = 4096) -> tuple:
+def self_intersections(spec: SurfaceSpec, geo: ClosedGeodesic) -> tuple:
     """Crossing radii of a closed geodesic: (chi, count, theta offsets) records.
 
     Groups the transverse double points by unsigned crossing radius |chi|.
     A [m,n;0] geodesic shows zero, one, or two distinct radii depending on n,
     and on each circle the crossing azimuths repeat with period 2 pi / m.
     """
-    pts = crossing_points(spec, geo, samples_per_period)
+    pts = crossing_points(spec, geo)
     if not pts:
         return ()
     order = sorted(pts, key=lambda f: abs(f.chi))

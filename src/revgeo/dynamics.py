@@ -8,7 +8,8 @@ system
     dvr/dlam     = R'(r) R(r) vtheta^2
     dvtheta/dlam = -2 (R'(r)/R(r)) vr vtheta
 
-integrated with an adaptive embedded Runge-Kutta pair and dense output.
+integrated with the adaptive Runge-Kutta pair DOP853 (Hairer, Norsett &
+Wanner, Solving ODEs I, II.5) and its dense output.
 Equator crossings and radial turning points are located in one array pass
 over all accepted steps, then refined by brentq on the dense output only
 where a bracket changes sign.
@@ -38,8 +39,6 @@ _EVENT_NOISE = 1e-10
 # accepted steps whose event samples are evaluated in one array operation
 _EVENT_BLOCK = 256
 _EVENT_KINDS = (OUTER_EQUATOR, INNER_EQUATOR, TURNING_POINT)
-# explicit Runge-Kutta pairs, with the name of their dense-output coefficients
-_DENSE_COEFFICIENTS = {"RK23": "Q", "RK45": "Q", "DOP853": "F"}
 
 
 @dataclass(frozen=True)
@@ -65,20 +64,16 @@ class ConservedSet:
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
     max_lambda: float = 100.0
-    method: str = "RK45"
+    method: str = "DOP853"      # the only integrator; callers may still name it
 
     def __post_init__(self):
         if not (0 < self.rel_tol <= 1e-2 and 0 < self.abs_tol <= 1e-2):
             raise DomainError("integration tolerances must lie in (0, 1e-2]")
         if not math.isfinite(self.max_lambda):
             raise DomainError(f"max_lambda must be finite, got {self.max_lambda}")
-        if not self.max_step > 0:
-            raise DomainError(f"max_step must be positive, got {self.max_step}")
-        if self.method not in _DENSE_COEFFICIENTS:
-            raise DomainError(f"method must be one of {sorted(_DENSE_COEFFICIENTS)}, "
-                              f"got {self.method!r}")
+        if self.method != "DOP853":
+            raise DomainError(f"method must be 'DOP853', got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -129,13 +124,8 @@ def initial_state_from_angle(spec: SurfaceSpec, beta0: float) -> GeodesicState:
     return GeodesicState(0.0, 0.0, np.cos(beta0), np.sin(beta0) / spec.R(0.0))
 
 
-def geodesic_rhs(spec: SurfaceSpec, state: GeodesicState):
-    """Right-hand side of the first-order geodesic system."""
-    y = state.as_array()
-    return tuple(_rhs(state.lam, y, spec))
-
-
 def _rhs(lam, y, spec):
+    """Right-hand side of the first-order geodesic system."""
     r, _, vr, vtheta = y.tolist()
     q = r / spec.b
     R = spec.a + spec.b * math.cos(q)
@@ -160,33 +150,28 @@ def conserved(spec: SurfaceSpec, state: GeodesicState) -> ConservedSet:
     return ConservedSet(E, ell, ell / np.sqrt(2.0 * E))
 
 
-def _dense_rows(name, coef, t_old, h, y_old, t):
+def _dense_rows(coef, t_old, h, y_old, t):
     """States at t (one row of points per step) from stacked dense coefficients.
 
-    Follows scipy's RkDenseOutput (power series, matrix product, name "Q")
-    and Dop853DenseOutput (Horner in x and 1 - x, name "F") operation by
-    operation, so each row equals its step's interpolant at the same points
-    bit for bit. Returns shape (steps, 4, points).
+    Follows scipy's Dop853DenseOutput (Horner in x and 1 - x over its
+    coefficients F) operation by operation, so each row equals its step's
+    interpolant at the same points bit for bit. Returns shape
+    (steps, 4, points).
     """
-    x = (t - t_old[:, None]) / h[:, None]
-    if name == "Q":
-        p = np.cumprod(np.repeat(x[:, None, :], coef.shape[2], axis=1), axis=1)
-        y = h[:, None, None] * np.matmul(coef, p)
-    else:
-        x = x[:, :, None]
-        y = np.zeros(x.shape[:2] + y_old.shape[1:])
-        for i in range(coef.shape[1]):
-            y += coef[:, None, -1 - i]
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y = y.transpose(0, 2, 1)
+    x = ((t - t_old[:, None]) / h[:, None])[:, :, None]
+    y = np.zeros(x.shape[:2] + y_old.shape[1:])
+    for i in range(coef.shape[1]):
+        y += coef[:, None, -1 - i]
+        if i % 2 == 0:
+            y *= x
+        else:
+            y *= 1 - x
+    y = y.transpose(0, 2, 1)
     y += y_old[:, :, None]
     return y
 
 
-def _event_samples(method, dense, lam, states):
+def _event_samples(dense, lam, states):
     """Blocks (ts, ys) of event samples over all accepted steps.
 
     Each step is sampled at _EVENT_SUBSAMPLES + 1 evenly spaced points,
@@ -198,12 +183,11 @@ def _event_samples(method, dense, lam, states):
     max_lambda can be, may round interior points onto its ends; those
     are then taken from the step's own interpolant.)
     """
-    name = _DENSE_COEFFICIENTS[method]
     n = len(lam) - 1
     for lo in range(0, n, _EVENT_BLOCK):
         hi = min(lo + _EVENT_BLOCK, n)
         first = max(lo - 1, 0)
-        coef = np.array([getattr(ip, name) for ip in dense.interpolants[first:hi]])
+        coef = np.array([ip.F for ip in dense.interpolants[first:hi]])
         t_old = lam[first:hi]
         h = lam[first + 1:hi + 1] - t_old
         y_old = states[:, first:hi].T
@@ -211,12 +195,12 @@ def _event_samples(method, dense, lam, states):
         prev = np.maximum(own - 1, 0)
         ts = np.linspace(lam[lo:hi], lam[lo + 1:hi + 1], _EVENT_SUBSAMPLES + 1, axis=1)
         ys = np.concatenate(
-            [_dense_rows(name, coef[k], t_old[k], h[k], y_old[k], t)
+            [_dense_rows(coef[k], t_old[k], h[k], y_old[k], t)
              for k, t in ((prev, ts[:, :1]), (own, ts[:, 1:]))], axis=2)
         yield ts, ys
 
 
-def _locate_events(spec, method, dense, lam, states, speed):
+def _locate_events(spec, dense, lam, states, speed):
     """Event roots (kind, lam) of all accepted steps, in step order.
 
     Only brackets where a channel changes sign above the noise level are
@@ -228,7 +212,7 @@ def _locate_events(spec, method, dense, lam, states, speed):
               lambda t: dense(t)[2])
     noise = _EVENT_NOISE * np.array([1.0, 1.0, speed])[:, None]
     found = []
-    for ts, ys in _event_samples(method, dense, lam, states):
+    for ts, ys in _event_samples(dense, lam, states):
         half = ys[:, 0] / (2.0 * b)
         g = np.stack((np.sin(half), np.cos(half), ys[:, 2]), axis=1)
         g0, g1 = g[..., :-1], g[..., 1:]
@@ -254,15 +238,15 @@ def integrate(spec: SurfaceSpec, state0: GeodesicState,
     if not np.all(np.isfinite(y0)):
         raise DomainError(f"initial state must be finite, got {y0.tolist()}")
     sol = solve_ivp(_rhs, (0.0, cfg.max_lambda), y0, args=(spec,),
-                    method=cfg.method, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=cfg.max_step, dense_output=True)
+                    method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                    dense_output=True)
     if not sol.success:
-        partial = _build_trace(spec, cfg, sol, raise_on_failure=False)
+        partial = _build_trace(spec, cfg, sol)
         raise IntegrationError(f"integration stopped early: {sol.message}", trace=partial)
     return _build_trace(spec, cfg, sol)
 
 
-def _build_trace(spec, cfg, sol, raise_on_failure=True):
+def _build_trace(spec, cfg, sol):
     lam = sol.t
     states = sol.y
     cons0 = conserved(spec, GeodesicState(*states[:, 0], lam=lam[0]))
@@ -277,7 +261,7 @@ def _build_trace(spec, cfg, sol, raise_on_failure=True):
 
     events = []
     if sol.sol is not None and lam[-1] != lam[0]:     # max_lambda = 0 takes no step
-        raw = _locate_events(spec, cfg.method, sol.sol, lam, states, speed)
+        raw = _locate_events(spec, sol.sol, lam, states, speed)
         raw.sort(key=lambda kl: kl[1])
         last_by_kind = {}
         for kind, lam_ev in raw:

@@ -48,20 +48,10 @@ _TURN_EPS = 1e-9
 _DIRECT_FRACTION = 0.75
 # pi - math.pi, the part of pi a double drops
 _PI_TAIL = math.sin(math.pi)
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    limit: int = 300
-
-    def __post_init__(self):
-        if not (0 < self.abs_tol <= 1e-3 and 0 < self.rel_tol <= 1e-3):
-            raise DomainError("quadrature tolerances must lie in (0, 1e-3]")
-
-
-_DEFAULT = QuadratureConfig()
+# quad's absolute and relative tolerance and its subinterval limit
+_QUAD_ABS_TOL = 1e-12
+_QUAD_REL_TOL = 1e-12
+_QUAD_LIMIT = 300
 
 
 def _rho(c, chi):
@@ -87,18 +77,18 @@ def _w_of_beta0(spec, beta0):
     return (spec.c + 2.0) * abs(np.sin(beta0))
 
 
-def _quad(f, a, b, cfg, points=None):
+def _quad(f, a, b, points=None):
     # roundoff warnings fire on extreme near-critical boundary layers where
     # only a few digits are needed for bracketing; accuracy where it matters
     # is covered by the ODE cross-checks
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                      limit=cfg.limit, points=points)
+        val, _ = quad(f, a, b, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
+                      limit=_QUAD_LIMIT, points=points)
     return val
 
 
-def _unbound_integral(spec, w, chi_lo, chi_hi, kind, cfg):
+def _unbound_integral(spec, w, chi_lo, chi_hi, kind):
     """Integral over [chi_lo, chi_hi] when rho > w everywhere (ring, w < c)."""
     c, w, orbit = float(spec.c), float(w), kind == _ORBIT
     gap = c - w
@@ -117,10 +107,10 @@ def _unbound_integral(spec, w, chi_lo, chi_hi, kind, cfg):
         cuts.append(k * np.pi)
         k += 1.0
     cuts.append(chi_hi)
-    return sum(_quad(f, lo, hi, cfg) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo)
+    return sum(_quad(f, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo)
 
 
-def _bound_direct(spec, w, chi_max, chi_lo, chi_hi, kind, cfg):
+def _bound_direct(spec, w, chi_max, chi_lo, chi_hi, kind):
     """Plain quadrature on [chi_lo, chi_hi] strictly inside [0, chi_max)."""
     c, w, chi_max, orbit = float(spec.c), float(w), float(chi_max), kind == _ORBIT
 
@@ -131,10 +121,10 @@ def _bound_direct(spec, w, chi_max, chi_lo, chi_hi, kind, cfg):
                 * math.sin(0.5 * (chi_max - chi)))
         return _integrand(orbit, w, rho, diff * (rho + w))
 
-    return _quad(f, chi_lo, chi_hi, cfg)
+    return _quad(f, chi_lo, chi_hi)
 
 
-def _bound_tail(spec, w, chi_max, chi_from, kind, cfg):
+def _bound_tail(spec, w, chi_max, chi_from, kind):
     """Integral from chi_from up to the turning point chi_max.
 
     Substituting chi = chi_max - u^2 cancels the 1/sqrt endpoint: the factor
@@ -157,22 +147,22 @@ def _bound_tail(spec, w, chi_max, chi_from, kind, cfg):
     upper = np.sqrt(chi_max - chi_from)
     top = chi_sup(spec)
     if top - chi_max >= np.pi - 3.0:
-        return _quad(h, 0.0, upper, cfg)
+        return _quad(h, 0.0, upper)
     if spec.family is Family.SPINDLE:
         # near the apex h has a layer of width sqrt(w / sin(chi_sup)) at
         # u = 0 whose tail falls as u^-3, too fast for quad to see from a
         # breakpoint; u = layer sinh(v) spreads it evenly over v
         layer = math.sqrt(w / math.sin(top))
         return _quad(lambda v: h(layer * math.sinh(v)) * layer * math.cosh(v),
-                     0.0, math.asinh(upper / layer), cfg)
+                     0.0, math.asinh(upper / layer))
     # near-critical: h has a boundary layer of width sqrt(pi - chi_max) at
     # u = 0 with a 1/u tail; hand quad the breakpoint
     layer = np.sqrt(top - chi_max)
     points = [layer] if 0.0 < layer < upper else None
-    return _quad(h, 0.0, upper, cfg, points=points)
+    return _quad(h, 0.0, upper, points=points)
 
 
-def _bound_primitive(spec, w, chi_max, x, kind, cfg, quarter=None):
+def _bound_primitive(spec, w, chi_max, x, kind, quarter=None):
     """Odd primitive T(x) = Int_0^x of the bound integrand, |x| <= chi_max.
 
     quarter is T(chi_max) when the caller already has it.
@@ -181,17 +171,16 @@ def _bound_primitive(spec, w, chi_max, x, kind, cfg, quarter=None):
     if xa == 0.0:
         return 0.0
     if xa <= _DIRECT_FRACTION * chi_max:
-        val = _bound_direct(spec, w, chi_max, 0.0, xa, kind, cfg)
+        val = _bound_direct(spec, w, chi_max, 0.0, xa, kind)
     else:
         if quarter is None:
-            quarter = _bound_tail(spec, w, chi_max, 0.0, kind, cfg)
-        val = quarter - (_bound_tail(spec, w, chi_max, xa, kind, cfg)
+            quarter = _bound_tail(spec, w, chi_max, 0.0, kind)
+        val = quarter - (_bound_tail(spec, w, chi_max, xa, kind)
                          if xa < chi_max else 0.0)
     return np.copysign(val, x)
 
 
-def orbit_angle(spec: SurfaceSpec, beta0: float, chi: float,
-                config: QuadratureConfig = _DEFAULT) -> float:
+def orbit_angle(spec: SurfaceSpec, beta0: float, chi: float) -> float:
     """Azimuth swept while the radial angle runs from 0 to chi.
 
     Odd in both chi and beta0. For bound launches chi must not pass the
@@ -206,12 +195,12 @@ def orbit_angle(spec: SurfaceSpec, beta0: float, chi: float,
     xa = abs(chi)
     tp = turning_point(spec, beta0)
     if tp.chi_max is None:
-        return sign * _unbound_integral(spec, w, 0.0, xa, _ORBIT, config)
+        return sign * _unbound_integral(spec, w, 0.0, xa, _ORBIT)
     if xa > tp.chi_max + _TURN_EPS:
         raise DomainError(
             f"chi={chi} lies beyond the turning point chi_max={tp.chi_max}")
     xa = min(xa, tp.chi_max)
-    return sign * _bound_primitive(spec, w, tp.chi_max, xa, _ORBIT, config)
+    return sign * _bound_primitive(spec, w, tp.chi_max, xa, _ORBIT)
 
 
 @dataclass(frozen=True)
@@ -248,8 +237,7 @@ def frequency_branch(spec: SurfaceSpec, p: int):
     return FrequencyBranch(0.0, 0.5 * math.pi, math.sqrt(abs(spec.c * (spec.c + 2.0))), sup)
 
 
-def theta_frequency_unbound(spec: SurfaceSpec, beta0: float,
-                            config: QuadratureConfig = _DEFAULT) -> float:
+def theta_frequency_unbound(spec: SurfaceSpec, beta0: float) -> float:
     """Radial loops per azimuthal revolution, N = 2 pi / G(2 pi, beta0).
 
     Returns the limit 0 where rounding puts w = (c+2) sin(beta0) at or
@@ -263,12 +251,11 @@ def theta_frequency_unbound(spec: SurfaceSpec, beta0: float,
     w = _w_of_beta0(spec, beta0)
     if w >= spec.c:
         return 0.0
-    G = _unbound_integral(spec, w, 0.0, 2.0 * np.pi, _ORBIT, config)
+    G = _unbound_integral(spec, w, 0.0, 2.0 * np.pi, _ORBIT)
     return 2.0 * np.pi / G
 
 
-def theta_frequency_bound(spec: SurfaceSpec, beta0: float,
-                          config: QuadratureConfig = _DEFAULT) -> float:
+def theta_frequency_bound(spec: SurfaceSpec, beta0: float) -> float:
     """Radial oscillations per revolution for bound launches.
 
     Monotone from its limit at the singular end (0 at beta_crit on ring
@@ -285,13 +272,12 @@ def theta_frequency_bound(spec: SurfaceSpec, beta0: float,
     if tp.chi_max == 0.0:
         return br.n_far
     w = _w_of_beta0(spec, beta0)
-    quarter = _bound_tail(spec, w, tp.chi_max, 0.0, _ORBIT, config)
+    quarter = _bound_tail(spec, w, tp.chi_max, 0.0, _ORBIT)
     lo, hi = br.limits
     return min(max(2.0 * np.pi / (4.0 * quarter), lo), hi)
 
 
-def arc_length_unbound_loop(spec: SurfaceSpec, beta0: float, loops: int = 1,
-                            config: QuadratureConfig = _DEFAULT) -> float:
+def arc_length_unbound_loop(spec: SurfaceSpec, beta0: float, loops: int = 1) -> float:
     """Arc length of one unbound radial loop (chi advancing by 2 pi), times loops."""
     crit = critical_angles(spec)
     if crit.beta_crit is None or not 0.0 <= beta0 < crit.beta_crit:
@@ -300,12 +286,11 @@ def arc_length_unbound_loop(spec: SurfaceSpec, beta0: float, loops: int = 1,
     if w >= spec.c:
         raise DomainError(f"beta0={beta0} rounds onto the inner equator, "
                           f"w = (c+2) sin(beta0) = {w} >= c: the loop never closes")
-    L = spec.b * _unbound_integral(spec, w, 0.0, 2.0 * np.pi, _LENGTH, config)
+    L = spec.b * _unbound_integral(spec, w, 0.0, 2.0 * np.pi, _LENGTH)
     return loops * L
 
 
-def arc_length_bound_period(spec: SurfaceSpec, beta0: float,
-                            config: QuadratureConfig = _DEFAULT) -> float:
+def arc_length_bound_period(spec: SurfaceSpec, beta0: float) -> float:
     """Arc length of one full radial oscillation, four quarter arcs."""
     crit = critical_angles(spec)
     lo = crit.beta_crit if crit.beta_crit is not None else 0.0
@@ -313,10 +298,10 @@ def arc_length_bound_period(spec: SurfaceSpec, beta0: float,
         raise DomainError(f"beta0={beta0} outside the bound range ({lo}, pi/2)")
     tp = turning_point(spec, beta0)
     w = _w_of_beta0(spec, beta0)
-    return 4.0 * spec.b * _bound_tail(spec, w, tp.chi_max, 0.0, _LENGTH, config)
+    return 4.0 * spec.b * _bound_tail(spec, w, tp.chi_max, 0.0, _LENGTH)
 
 
-def _monotone_arc(spec, w, chi0, chi1, kind, cfg):
+def _monotone_arc(spec, w, chi0, chi1, kind):
     """Signed dimensionless integral along the monotone arc chi0 -> chi1.
 
     Handles both regimes: w below the inner-equator barrier (any span) and
@@ -330,7 +315,7 @@ def _monotone_arc(spec, w, chi0, chi1, kind, cfg):
         return chi1 - chi0 if kind == _LENGTH else 0.0
     if spec.family is Family.RING and w < c * (1.0 - 1e-14):
         lo, hi = min(chi0, chi1), max(chi0, chi1)
-        val = _unbound_integral(spec, w, lo, hi, kind, cfg)
+        val = _unbound_integral(spec, w, lo, hi, kind)
         return float(np.copysign(val, chi1 - chi0))
     if w > c + 2.0 + _TURN_EPS:
         raise ForbiddenRegionError("the radicand R^2 - p^2 is negative everywhere")
@@ -342,14 +327,13 @@ def _monotone_arc(spec, w, chi0, chi1, kind, cfg):
             f"arc [{chi0}, {chi1}] leaves the allowed band |chi| <= {chi_t}")
     x0 = float(np.clip(x0, -chi_t, chi_t))
     x1 = float(np.clip(x1, -chi_t, chi_t))
-    quarter = (_bound_tail(spec, w, chi_t, 0.0, kind, cfg)
+    quarter = (_bound_tail(spec, w, chi_t, 0.0, kind)
                if max(abs(x0), abs(x1)) > _DIRECT_FRACTION * chi_t else None)
-    return (_bound_primitive(spec, w, chi_t, x1, kind, cfg, quarter)
-            - _bound_primitive(spec, w, chi_t, x0, kind, cfg, quarter))
+    return (_bound_primitive(spec, w, chi_t, x1, kind, quarter)
+            - _bound_primitive(spec, w, chi_t, x0, kind, quarter))
 
 
-def affine_time(spec: SurfaceSpec, E: float, ell: float, r0: float, r: float,
-                config: QuadratureConfig = _DEFAULT) -> float:
+def affine_time(spec: SurfaceSpec, E: float, ell: float, r0: float, r: float) -> float:
     """Affine-parameter increment along a monotone radial segment r0 -> r.
 
     Signed like r - r0. Turning-point endpoints are fine (integrable);
@@ -365,7 +349,7 @@ def affine_time(spec: SurfaceSpec, E: float, ell: float, r0: float, r: float,
         return (r - r0) / speed
     b = spec.b
     w = abs(ell) / (b * speed)
-    val = _monotone_arc(spec, w, r0 / b, r / b, _LENGTH, config)
+    val = _monotone_arc(spec, w, r0 / b, r / b, _LENGTH)
     return val * b / speed
 
 
@@ -378,6 +362,7 @@ def critical_divergence_estimate(spec: SurfaceSpec, chi: float) -> float:
     finding stalls near beta_crit. Note the value at pi - chi = 1e-10 for
     c = 1 is 3.664, not the rougher 3.3 sometimes quoted.
     """
+    _require_finite(chi=chi)
     if spec.family is not Family.RING:
         raise DomainError("critical asymptote exists only on ring tori")
     if not chi < np.pi:

@@ -103,13 +103,6 @@ def embed(spec: SurfaceSpec, r, theta) -> np.ndarray:
     return np.array([R * np.cos(theta), R * np.sin(theta), spec.Z(r)])
 
 
-def normal(spec: SurfaceSpec, r, theta) -> np.ndarray:
-    """Outward unit normal: Z' radial-horizontal minus R' vertical."""
-    zp = spec.Zprime(r)
-    rp = spec.Rprime(r)
-    return np.array([zp * np.cos(theta), zp * np.sin(theta), -rp])
-
-
 def gaussian_curvature(spec: SurfaceSpec, r):
     """Intrinsic curvature K = cos(chi) / (b R); sign flips across the polar circles."""
     R = _require_off_axis(spec, r)

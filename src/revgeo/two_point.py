@@ -28,12 +28,10 @@ from scipy.optimize import brentq
 
 from .dynamics import IntegratorConfig, initial_state_from_angle, integrate
 from .errors import DomainError, ForbiddenRegionError, NoSolutionError
-from .integrals import (_LENGTH, _ORBIT, QuadratureConfig, _bound_primitive,
-                        _bound_tail, _monotone_arc, _rho)
+from .integrals import (_LENGTH, _ORBIT, _bound_primitive, _bound_tail,
+                        _monotone_arc, _rho)
 from .potential import chi_sup
 from .surface import Family, SurfaceSpec
-
-_DEFAULT = QuadratureConfig()
 
 # two candidates closer than this (relative) in length are flagged as a tie
 _TIE_RTOL = 1e-9
@@ -86,20 +84,20 @@ class _FoldTable:
     and the bracket ends of every brentq.
     """
 
-    def __init__(self, spec, chi1, chi2, cfg):
-        self.spec, self.chi1, self.chi2, self.cfg = spec, chi1, chi2, cfg
+    def __init__(self, spec, chi1, chi2):
+        self.spec, self.chi1, self.chi2 = spec, chi1, chi2
         self._terms = {}
 
     def terms(self, t, kind):
         """(T(t), T(chi1), T(chi2)) of one kind, with T(t) computed once."""
         key = (t, kind)
         if key not in self._terms:
-            spec, cfg = self.spec, self.cfg
+            spec = self.spec
             w = _rho(spec.c, t)
-            Tt = _bound_tail(spec, w, t, 0.0, kind, cfg)
+            Tt = _bound_tail(spec, w, t, 0.0, kind)
             self._terms[key] = (
-                Tt, _bound_primitive(spec, w, t, self.chi1, kind, cfg, Tt),
-                _bound_primitive(spec, w, t, self.chi2, kind, cfg, Tt))
+                Tt, _bound_primitive(spec, w, t, self.chi1, kind, Tt),
+                _bound_primitive(spec, w, t, self.chi2, kind, Tt))
         return self._terms[key]
 
     # fold-pattern combinations: sweep = az coefficient dot (Tt, T1, T2)
@@ -143,7 +141,7 @@ def _min_rho_between(c, chi_lo, chi_hi):
     return end_min, False
 
 
-def _solve_monotone(spec, chi1, chi_end, target_abs, cfg, table):
+def _solve_monotone(spec, chi1, chi_end, target_abs, table):
     """Roots of sweep(q) = target_abs on the monotone branch, as (q, length).
 
     table maps q to sweep(q) on this arc; the windings k share it.
@@ -155,7 +153,7 @@ def _solve_monotone(spec, chi1, chi_end, target_abs, cfg, table):
 
     def sweep(q):
         if q not in table:
-            table[q] = abs(_monotone_arc(spec, q, chi1, chi_end, _ORBIT, cfg))
+            table[q] = abs(_monotone_arc(spec, q, chi1, chi_end, _ORBIT))
         return table[q]
 
     f = lambda q: sweep(q) - target_abs
@@ -176,13 +174,12 @@ def _solve_monotone(spec, chi1, chi_end, target_abs, cfg, table):
     if f(lo) >= 0.0:
         return None
     q_root = brentq(f, lo, hi, xtol=1e-14, rtol=4.0 * np.finfo(float).eps)
-    length = spec.b * abs(_monotone_arc(spec, q_root, chi1, chi_end, _LENGTH, cfg))
+    length = spec.b * abs(_monotone_arc(spec, q_root, chi1, chi_end, _LENGTH))
     return float(q_root), float(length)
 
 
 def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
-                    k_range=(-2, -1, 0, 1, 2),
-                    config: QuadratureConfig = _DEFAULT) -> TwoPointResult:
+                    k_range=(-2, -1, 0, 1, 2)) -> TwoPointResult:
     """All connecting geodesics from (r1, 0) to (r2, dtheta) over the winding
     ranges, sorted by length. Raises NoSolutionError if nothing matches."""
     if not np.all(np.isfinite((r1, r2, dtheta))):
@@ -211,7 +208,7 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
 
     # shared fold table and grid, and one monotone table per j, reused across k
     monotone = {j: {} for j in j_values}
-    table = _FoldTable(spec, chi1, chi2, config)
+    table = _FoldTable(spec, chi1, chi2)
     t_min = max(abs(chi1), abs(chi2))
     grid = _fold_grid(t_min, chi_top, ring)
     sweeps = {}
@@ -251,7 +248,7 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
             chi_end = chi2 + 2.0 * np.pi * j
             if chi_end == chi1:
                 continue
-            got = _solve_monotone(spec, chi1, chi_end, tabs, config, monotone[j])
+            got = _solve_monotone(spec, chi1, chi_end, tabs, monotone[j])
             if got is not None:
                 add(sgn * got[0] * b, got[1], "monotone", j, k, target,
                     int(np.sign(chi_end - chi1)))
@@ -312,6 +309,8 @@ def exp_map_rays(spec: SurfaceSpec, n_rays: int = 24,
     """
     if n_rays < 2:
         raise DomainError("need at least the meridian and equator rays")
+    if samples < 1:
+        raise DomainError(f"need at least one sample per ray, got {samples}")
     default_span = 2.0 * np.pi * (spec.a + spec.b)
     grids = {}                      # one read-only sample grid per distinct span
     rays = []
@@ -322,8 +321,7 @@ def exp_map_rays(spec: SurfaceSpec, n_rays: int = 24,
             span = default_span
         else:
             span = lam_max if lam_max is not None else default_span
-        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, max_lambda=span,
-                               method="DOP853")
+        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, max_lambda=span)
         trace = integrate(spec, initial_state_from_angle(spec, beta0), cfg)
         lams = grids.get(span)
         if lams is None:

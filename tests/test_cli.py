@@ -94,6 +94,20 @@ def test_potential_svg_bands_and_levels(capsys):
     assert out.count("<polyline") == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ("potential", "--ell", "nan"),
+    ("potential", "--ell", "inf", "--format", "json"),
+    ("potential", "--ell", "1", "--chi-span", "nan"),
+    ("potential", "--ell", "1", "--samples", "0"),
+    ("geodesic", "--beta0", "0.5", "--samples", "0"),
+    ("expmap", "--rays", "3", "--samples", "0"),
+])
+def test_bad_boundary_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("revgeo: ")
+
+
 # -- geodesic ----------------------------------------------------------------
 
 def test_geodesic_csv_columns_and_events(capsys):

@@ -7,18 +7,18 @@ from scipy.optimize import brentq
 from revgeo import dynamics
 from revgeo.dynamics import (INNER_EQUATOR, OUTER_EQUATOR, TURNING_POINT,
                              GeodesicState, IntegratorConfig, conserved,
-                             geodesic_rhs, initial_state_from_angle, integrate)
+                             initial_state_from_angle, integrate)
 from revgeo.errors import DomainError
 from revgeo.potential import turning_point
 from revgeo.surface import SurfaceSpec
 
-TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=100.0,
-                         method="DOP853")
+TIGHT = (1e-12, 1e-13)                  # (rel_tol, abs_tol)
+# IntegratorConfig's defaults, which `revgeo geodesic` runs
+DEFAULT = (IntegratorConfig().rel_tol, IntegratorConfig().abs_tol)
 
 
-def _cfg(lam, method="DOP853"):
-    return IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=lam,
-                            method=method)
+def _cfg(lam):
+    return IntegratorConfig(rel_tol=TIGHT[0], abs_tol=TIGHT[1], max_lambda=lam)
 
 
 def test_initial_state(ring):
@@ -34,7 +34,7 @@ def test_initial_state(ring):
 
 def test_rhs_matches_christoffel(ring):
     st = GeodesicState(r=0.7, theta=0.2, vr=0.4, vtheta=0.11)
-    d = geodesic_rhs(ring, st)
+    d = dynamics._rhs(st.lam, st.as_array(), ring)
     R = ring.R(0.7)
     Rp = ring.Rprime(0.7)
     assert d[0] == st.vr
@@ -191,23 +191,21 @@ def _reference_events(spec, trace):
 
 
 EVENT_BATTERY = {
-    "ring-bound": ((2.0, 1.0), 0.47, 60.0, "DOP853"),
-    "ring-unbound": ((2.0, 1.0), 0.119, 60.0, "DOP853"),
-    "horn-meridian-through-axis": ((1.0, 1.0), 0.0, 20.0, "DOP853"),
-    "outer-equator-circle": ((2.0, 1.0), np.pi / 2.0, 60.0, "DOP853"),
-    "ring-rk45": ((2.0, 1.0), 0.3, 60.0, "RK45"),
-    "ring-rk23": ((2.0, 1.0), 0.2, 20.0, "RK23"),
-    "ring-backward": ((2.0, 1.0), 0.119, -40.0, "DOP853"),
-    "ring-lambda-500": ((2.0, 1.0), 0.47, 500.0, "DOP853"),
+    "ring-bound": ((2.0, 1.0), 0.47, 60.0, TIGHT),
+    "ring-unbound": ((2.0, 1.0), 0.119, 60.0, TIGHT),
+    "horn-meridian-through-axis": ((1.0, 1.0), 0.0, 20.0, TIGHT),
+    "outer-equator-circle": ((2.0, 1.0), np.pi / 2.0, 60.0, TIGHT),
+    "ring-default-tol": ((2.0, 1.0), 0.3, 60.0, DEFAULT),
+    "ring-default-tol-short": ((2.0, 1.0), 0.2, 20.0, DEFAULT),
+    "ring-backward": ((2.0, 1.0), 0.119, -40.0, TIGHT),
+    "ring-lambda-500": ((2.0, 1.0), 0.47, 500.0, TIGHT),
 }
 
 
 def _battery_trace(name):
-    surf, beta0, lam, method = EVENT_BATTERY[name]
+    surf, beta0, lam, (rel_tol, abs_tol) = EVENT_BATTERY[name]
     spec = SurfaceSpec(*surf)
-    tol = {"DOP853": (1e-12, 1e-13), "RK45": (1e-10, 1e-12), "RK23": (1e-8, 1e-10)}[method]
-    cfg = IntegratorConfig(rel_tol=tol[0], abs_tol=tol[1], max_lambda=lam,
-                           method=method)
+    cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol, max_lambda=lam)
     return spec, integrate(spec, initial_state_from_angle(spec, beta0), cfg)
 
 
@@ -224,11 +222,11 @@ def test_events_match_per_step_scan(name):
         assert got
 
 
-@pytest.mark.parametrize("name", ["ring-rk45", "ring-lambda-500"])
+@pytest.mark.parametrize("name", ["ring-default-tol", "ring-lambda-500"])
 def test_stacked_samples_equal_dense_output(name):
     _, tr = _battery_trace(name)
     k0 = 0
-    for ts, ys in dynamics._event_samples(tr.config.method, tr.dense, tr.lam, tr.states):
+    for ts, ys in dynamics._event_samples(tr.dense, tr.lam, tr.states):
         assert ys.shape == (len(ts), 4, dynamics._EVENT_SUBSAMPLES + 1)
         for k in range(len(ts)):
             assert np.array_equal(ts[k], np.linspace(tr.lam[k0 + k], tr.lam[k0 + k + 1],
@@ -242,9 +240,9 @@ def test_stacked_samples_equal_dense_output(name):
 
 @pytest.mark.parametrize("kwargs", [
     {"max_lambda": float("nan")}, {"max_lambda": float("inf")},
-    {"max_lambda": float("-inf")}, {"max_step": float("nan")},
-    {"max_step": 0.0}, {"max_step": -1.0},
+    {"max_lambda": float("-inf")},
     {"method": "Radau"}, {"method": "LSODA"}, {"method": "rk45"},
+    {"method": "RK45"}, {"method": "RK23"}, {"method": "dop853"},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):

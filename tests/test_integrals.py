@@ -13,9 +13,8 @@ import pytest
 from revgeo import DomainError, SurfaceSpec
 from revgeo.dynamics import (OUTER_EQUATOR, IntegratorConfig,
                              initial_state_from_angle, integrate)
-from revgeo.integrals import (QuadratureConfig, _integrand, _w_of_beta0,
-                              affine_time, arc_length_bound_period,
-                              arc_length_unbound_loop,
+from revgeo.integrals import (_integrand, _w_of_beta0, affine_time,
+                              arc_length_bound_period, arc_length_unbound_loop,
                               critical_divergence_estimate, orbit_angle,
                               theta_frequency_bound, theta_frequency_unbound)
 from revgeo.potential import critical_angles, turning_point
@@ -25,13 +24,6 @@ BETA_11_0 = 0.4097039419613767        # [1,1;0]
 BETA_12_0 = 0.34218054380354834       # [1,2;0]
 BETA_32_0 = 0.7166635339015204        # [3,2;0]
 BETA_71_1 = 0.11902589504689727       # [7,1;1]
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(abs_tol=0.1)
-    with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=0.0)
 
 
 def test_integrand_edges_follow_numpy():
@@ -141,6 +133,12 @@ def test_critical_divergence_estimate(ring):
                                 rel=1e-9)
 
 
+@pytest.mark.parametrize("chi", [np.nan, np.inf, -np.inf])
+def test_critical_divergence_estimate_rejects_non_finite(ring, chi):
+    with pytest.raises(DomainError, match=r"\bchi must be finite"):
+        critical_divergence_estimate(ring, chi)
+
+
 def _ode_period_and_advance(spec, beta0):
     """Independent route: shoot the geodesic ODE and read the period off the
     outer-equator return events."""
@@ -186,14 +184,6 @@ def test_dual_route_unbound_loop(ring):
     lam_loop = np.interp(2.0 * np.pi * ring.b, r[idx - 1:idx + 1],
                          lam[idx - 1:idx + 1])
     assert abs(lam_loop - L) < 1e-6
-
-
-def test_quadrature_tolerance_actually_used(ring):
-    loose = QuadratureConfig(abs_tol=1e-4, rel_tol=1e-4)
-    tight = QuadratureConfig()
-    a = arc_length_bound_period(ring, 0.5, loose)
-    b = arc_length_bound_period(ring, 0.5, tight)
-    assert a == pytest.approx(b, rel=1e-3)
 
 
 def _mp_quarter(c, w, x_t, orbit):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from revgeo import InvalidParameterError, SurfaceSpec
-from revgeo.surface import (Family, embed, gaussian_curvature, make_torus,
-                            normal)
+from revgeo.surface import Family, embed, gaussian_curvature, make_torus
 
 
 def test_family_split():
@@ -90,14 +89,6 @@ def test_embedding_consistency():
     r = np.linspace(-3.0, 3.0, 17)
     pts = embed(spec, r, 0.7)
     assert np.allclose(np.hypot(pts[0], pts[1]), spec.R(r), atol=1e-12)
-
-
-def test_normal_is_unit_and_radial_on_equator():
-    spec = SurfaceSpec(2.0, 1.0)
-    nv = normal(spec, 0.0, 0.0)
-    assert np.allclose(nv, [1.0, 0.0, 0.0], atol=1e-13)
-    nv = normal(spec, 1.1, 2.2)
-    assert np.linalg.norm(nv) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_make_torus_matches_ctor():

@@ -135,6 +135,12 @@ def test_exp_map_rays_share_read_only_grids(ring):
         rays[1].lam[0] = 1.0
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_exp_map_rays_rejects_no_samples(ring, samples):
+    with pytest.raises(DomainError, match="sample"):
+        exp_map_rays(ring, n_rays=3, samples=samples)
+
+
 @pytest.mark.parametrize("a,b,r1,r2,dtheta", [
     (2.0, 1.0, 0.3, 1.1, 0.8),
     (1.0, 1.0, 0.2, 0.9, 0.6),
