@@ -4,8 +4,9 @@ Where closed geodesics cross themselves
 
 Self-intersections only happen on full circles chi = const, in mirror
 pairs at +-chi (or on chi = 0 itself). The counting rule depends only on
-n: no crossings for n = 1, one radius for n = 2 and 3, two radii beyond,
-with even n placing one of them on the outer equator.
+n: a bound [m,n;0] crosses itself on floor(n/2) radii, where the orbit
+angle reaches pi (n - 2l) / (2m) for l = 1 .. n-1, so none for n = 1, and
+even n places one of them on the outer equator.
 """
 
 import numpy as np

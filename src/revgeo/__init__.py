@@ -20,8 +20,7 @@ _LAYERS = {
     "central_force": ("CircularOrbit", "ForceParams", "OrbitClass", "PlaneOrbit",
                       "apsidal_angle", "circular_radii", "classify_orbit",
                       "epicyclic_frequency", "integrate_orbit",
-                      "perihelion_precession", "total_potential",
-                      "total_potential_derivative"),
+                      "perihelion_precession", "total_potential"),
     "closed": ("ClosedGeodesic", "ClosedLabel", "CrossingRadius",
                "PrecessionData", "RefineResult", "SelfIntersection",
                "SpectrumEntry", "SpectrumResult", "crossing_points",
@@ -42,10 +41,9 @@ _LAYERS = {
                   "orbit_angle", "theta_frequency_bound",
                   "theta_frequency_unbound"),
     "potential": ("CriticalAngles", "GeodesicClass", "OscillationData",
-                  "PotentialProfile", "TurningPoints", "chi_sup", "classify",
-                  "critical_angles", "effective_potential",
-                  "effective_potential_derivative", "potential_profile",
-                  "small_oscillation", "turning_point"),
+                  "TurningPoints", "chi_sup", "classify", "critical_angles",
+                  "effective_potential", "small_oscillation",
+                  "turning_point"),
     "surface": ("Family", "SurfaceSpec", "embed", "gaussian_curvature",
                 "make_torus"),
     "two_point": ("ConnectingGeodesic", "RayPath", "TwoPointResult",

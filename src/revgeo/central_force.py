@@ -64,12 +64,6 @@ def total_potential(params: ForceParams, ell: float, r):
     return U if U.ndim else float(U)
 
 
-def total_potential_derivative(params: ForceParams, ell: float, r):
-    r = np.asarray(r, dtype=float)
-    dU = -ell ** 2 / r ** 3 + params.k1 / r ** 2 + 3.0 * params.k2 / r ** 4
-    return dU if dU.ndim else float(dU)
-
-
 @dataclass(frozen=True)
 class CircularOrbit:
     r: float

@@ -163,9 +163,11 @@ def _surface(args) -> SurfaceSpec:
     return make_torus(float(args.a), float(args.b))
 
 
-def _require_samples(args):
-    if int(args.samples) < 1:
-        raise UsageError(f"{args.command} needs --samples >= 1, got {args.samples}")
+def _require_at_least(args, dest, low):
+    if int(getattr(args, dest)) < low:
+        flag = "--" + dest.replace("_", "-")
+        raise UsageError(f"{args.command} needs {flag} >= {low}, "
+                         f"got {getattr(args, dest)}")
 
 
 def _run_potential(args):
@@ -176,10 +178,12 @@ def _run_potential(args):
     _default(args, "samples", 512)
     _default(args, "chi_span",
              np.pi if spec.family is Family.RING else 2.0 * np.pi)
-    _require_samples(args)
+    _require_at_least(args, "samples", 1)
     span = float(args.chi_span)
     ell = float(args.ell)
     _require_finite(ell=ell, chi_span=span)
+    if not span > 0.0:
+        raise UsageError(f"potential needs --chi-span > 0, got {args.chi_span}")
     chi = np.linspace(-span, span, int(args.samples))
     R = spec.R(chi * spec.b)
     inband = R > 1e-9 * spec.b
@@ -215,7 +219,7 @@ def _run_geodesic(args):
         raise UsageError("geodesic needs --beta0")
     _default(args, "lambda_max", 2.0 * np.pi * (spec.a + spec.b))
     _default(args, "samples", 800)
-    _require_samples(args)
+    _require_at_least(args, "samples", 1)
     state0 = dynamics.initial_state_from_angle(spec, float(args.beta0))
     cfg = dynamics.IntegratorConfig(max_lambda=float(args.lambda_max))
     partial = False
@@ -276,6 +280,8 @@ def _run_spectrum(args):
     spec = _surface(args)
     _default(args, "m_max", 5)
     _default(args, "n_max", 5)
+    _require_at_least(args, "m_max", 0)
+    _require_at_least(args, "n_max", 0)
     p_values = (0, 1) if args.p is None else (int(args.p),)
     result = closed.spectrum(spec, int(args.m_max), int(args.n_max),
                              p_values=p_values)
@@ -333,6 +339,7 @@ def _run_bvp(args):
         if getattr(args, need) is None:
             raise UsageError(f"bvp needs --{need}")
     _default(args, "k_max", 2)
+    _require_at_least(args, "k_max", 0)
     ks = tuple(range(-int(args.k_max), int(args.k_max) + 1))
     result = two_point.solve_two_point(spec, float(args.r1), float(args.r2),
                                        float(args.dtheta), k_range=ks)

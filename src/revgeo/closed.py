@@ -13,6 +13,10 @@ so a label exists exactly when m/n lies strictly between them. Each root is
 bracketed once: a coarse brentq in the log of the distance to the branch's
 singular end (beta_crit on ring tori, where N approaches 0 logarithmically,
 and the apex beta0 = 0 elsewhere), then a polish in beta0.
+
+The same reduction places the self-intersections of a bound [m, n; 0]:
+its rising and falling passes meet where the orbit angle from the outer
+equator equals pi (n - 2l) / (2m), l = 1 .. n-1 (crossing_points).
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dynamics import (OUTER_EQUATOR, GeodesicState, IntegratorConfig,
-                       OrbitTrace, initial_state_from_angle, integrate)
+                       initial_state_from_angle, integrate)
 from .errors import (ConvergenceError, DomainError, InvalidParameterError,
                      NonexistentGeodesicError)
-from .integrals import (_w_of_beta0, arc_length_bound_period,
+from .integrals import (_w_of_beta0, affine_time, arc_length_bound_period,
                         arc_length_unbound_loop, frequency_branch, orbit_angle,
                         theta_frequency_bound, theta_frequency_unbound)
 from .potential import critical_angles, turning_point
@@ -38,8 +42,6 @@ from .surface import Family, SurfaceSpec
 _EPS = float(np.finfo(float).eps)
 # bracket width in log-distance left to the polish in beta0
 _COARSE_XTOL = 1.0
-# polyline vertices per radial period when scanning for double points
-_SAMPLES_PER_PERIOD = 4096
 
 
 @dataclass(frozen=True)
@@ -380,161 +382,62 @@ class CrossingRadius:
     points: tuple                  # SelfIntersection records, by lam1
 
 
-def _segment_hits(px, py, k):
-    """Candidate index pairs (i, j) where segment i meets segment j shifted
-    down by k in y. Relies on y being monotone increasing."""
-    M = len(px) - 1
-    y0, y1 = py[:-1], py[1:]
-    lo = np.searchsorted(py, y0 + k, side="left") - 1
-    hi = np.searchsorted(py, y1 + k, side="right")
-    lo = np.clip(lo, 0, M)
-    hi = np.clip(hi, 0, M)
-    counts = np.maximum(hi - lo, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, int), np.empty(0, int)
-    ii = np.repeat(np.arange(M), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    jj = np.arange(total) - np.repeat(offsets, counts) + np.repeat(lo, counts)
-
-    ax, ay = px[ii], py[ii]
-    bx, by = px[ii + 1], py[ii + 1]
-    cx, cy = px[jj], py[jj] - k
-    dx, dy = px[jj + 1], py[jj + 1] - k
-    d1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    d2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-    d3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-    d4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-    eps = 1e-15
-    hit = (d1 * d2 <= eps) & (d3 * d4 <= eps)
-    return ii[hit], jj[hit]
-
-
-def _circ_close(a, b, period, tol):
-    d = abs(a - b)
-    return d < tol or period - d < tol
-
-
 def crossing_points(spec: SurfaceSpec, geo: ClosedGeodesic) -> tuple:
     """Transverse double points of a closed geodesic over one circuit.
 
-    The curve is sampled into a polyline in the (chi, theta) cover; because
-    theta is strictly monotone, branches can only meet where their azimuths
-    differ by an exact multiple of 2 pi, and each shift k = 1 .. n-1 is
-    scanned with a banded sweep. Polyline hits are polished by a 2d Newton
-    iteration on (lambda1, lambda2) using the dense solution, extended
-    periodically so a crossing sitting at the closure seam (the launch point
-    itself is a double point whenever n is even) is still reachable.
+    A bound [m, n; 0] orbit is mirror-symmetric about each turning meridian
+    (time reversal), so over one radial period P = L/m it sweeps the azimuth
+    Q = pi n / (2m) per quarter. With A(chi) the arc length and
+    Theta(chi) = orbit_angle from 0 to chi, both odd in chi, rising pass j
+    sits at lam = jP + A(chi), theta = 4Qj + Theta(chi), and falling pass j'
+    at lam = (j' + 1/2)P - A(chi), theta = 4Qj' + 2Q - Theta(chi). Since
+    gcd(m, n) = 1 they meet exactly where Theta(chi) = pi (n - 2l) / (2m),
+    l = 1 .. n-1, rising pass j with falling pass j' = (j - l n^-1) mod m,
+    n^-1 the inverse of n mod m: m points per l, on the 2 pi / m azimuth
+    lattice. l = n/2 gives chi = 0, and with j = 0 the launch point itself.
+    Only quadrature runs, no ODE. Unbound loops, equators and meridians are
+    simple curves.
     """
     lab = geo.label
-    if lab.p == 1 or lab.m == 0 or lab.n == 0:
-        # monotone-radius loops, equators, and meridians are simple curves
+    if lab.p == 1 or lab.m == 0 or lab.n == 0 or geo.beta0 is None:
         return ()
-    if geo.beta0 is None:
-        return ()
-    m, n = lab.m, lab.n
-    L = geo.length
-    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, max_lambda=L)
-    trace = integrate(spec, initial_state_from_angle(spec, geo.beta0), cfg)
-    M = _SAMPLES_PER_PERIOD * m
-    lams = np.linspace(0.0, L, M + 1)
-    Y = trace.dense(lams)
-    px = Y[0] / (2.0 * np.pi * spec.b)      # chi / 2 pi, no wrap needed: |chi| < pi
-    py = Y[1] / (2.0 * np.pi)               # strictly increasing
-    # periodic extension must be continuous at the seam or a crossing that
-    # straddles it traps the Newton polish; shift by the actual end values so
-    # the closure residual cancels instead of appearing as a jump
-    theta_total = float(Y[1][-1])
-    r_defect = float(Y[0][-1]) - float(Y[0][0])
-
-    def ev(l):
-        # one-period C0 periodic extension on either side of [0, L]
-        if l < 0.0:
-            y = trace.dense(l + L)
-            return (float(y[0]) - r_defect, float(y[1]) - theta_total,
-                    float(y[2]), float(y[3]))
-        if l > L:
-            y = trace.dense(l - L)
-            return (float(y[0]) + r_defect, float(y[1]) + theta_total,
-                    float(y[2]), float(y[3]))
-        y = trace.dense(l)
-        return float(y[0]), float(y[1]), float(y[2]), float(y[3])
-
+    m, n, L, beta0 = lab.m, lab.n, geo.length, geo.beta0
+    P = L / m
+    ell = (spec.a + spec.b) * math.sin(beta0)
+    n_inv = pow(n, -1, m)
+    solved = {}                     # |n - 2l| -> (|chi|, A(|chi|))
     found = []
-    for k in range(1, n):
-        ii, jj = _segment_hits(px, py, float(k))
-        for i, j in zip(ii, jj):
-            pair = _newton_pair(spec, ev, lams[i], lams[j], k, L)
-            if pair is None:
-                continue
-            u, v = (p % L for p in pair)
-            gap = abs(u - v)
-            if min(gap, L - gap) < 1e-7 * L:
-                continue                    # closure identity, not a crossing
-            if u > v:
-                u, v = v, u
-            r, th, _, _ = ev(u)
-            chi = r / spec.b
-            tho = float(np.mod(th, 2.0 * np.pi))
-            if any(abs(chi - f.chi) < 1e-5
-                   and _circ_close(tho, f.theta, 2.0 * np.pi, 1e-5)
-                   for f in found):
-                continue                    # same torus point, other seed
-            found.append(SelfIntersection(float(u), float(v), float(chi), tho))
+    for l in range(1, n):
+        k = n - 2 * l
+        v = math.pi * k / (2 * m)   # exactly 0.0 when l = n/2
+        if abs(k) not in solved:
+            x = brentq(lambda x: orbit_angle(spec, beta0, x) - abs(v),
+                       0.0, geo.chi_max, xtol=1e-15, rtol=4.0 * _EPS)
+            solved[abs(k)] = x, affine_time(spec, 0.5, ell, 0.0, spec.b * x)
+        x, arc = solved[abs(k)]
+        chi, arc = math.copysign(x, v), math.copysign(arc, v)
+        for j in range(m):
+            lam_up = (j * P + arc) % L
+            lam_down = ((j - l * n_inv) % m + 0.5) * P - arc
+            theta = (2.0 * math.pi * (n * j % m) / m + v) % (2.0 * math.pi)
+            found.append(SelfIntersection(min(lam_up, lam_down),
+                                          max(lam_up, lam_down), chi, theta))
     return tuple(sorted(found, key=lambda f: (f.lam1, f.lam2)))
 
 
 def self_intersections(spec: SurfaceSpec, geo: ClosedGeodesic) -> tuple:
     """Crossing radii of a closed geodesic: (chi, count, theta offsets) records.
 
-    Groups the transverse double points by unsigned crossing radius |chi|.
-    A [m,n;0] geodesic shows zero, one, or two distinct radii depending on n,
-    and on each circle the crossing azimuths repeat with period 2 pi / m.
+    Groups the transverse double points by their exact unsigned radius
+    |chi|, inner radius first. A bound [m,n;0] geodesic has floor(n/2)
+    radii: chi = 0 exactly when n is even, with m points, and every other
+    radius with 2m points, m on each mirror circle +-chi, whose azimuths
+    step by 2 pi / m. Unbound loops, equators and meridians have none.
     """
-    pts = crossing_points(spec, geo)
-    if not pts:
-        return ()
-    order = sorted(pts, key=lambda f: abs(f.chi))
-    groups = [[order[0]]]
-    for f in order[1:]:
-        if abs(f.chi) - abs(groups[-1][-1].chi) < 1e-4:
-            groups[-1].append(f)
-        else:
-            groups.append([f])
-    out = []
-    for group in groups:
-        chi = float(np.mean([abs(f.chi) for f in group]))
-        # closure residuals near the critical angle reach ~1e-6; genuine
-        # nonzero crossing radii stay well above 0.1
-        if chi < 1e-5:
-            chi = 0.0
-        out.append(CrossingRadius(
-            chi, len(group),
-            tuple(sorted(float(f.theta) for f in group)),
-            tuple(sorted(group, key=lambda f: (f.lam1, f.lam2)))))
-    return tuple(out)
-
-
-def _newton_pair(spec, ev, l1, l2, k, L):
-    """Solve r(l1) = r(l2), theta(l2) - theta(l1) = 2 pi k for the crossing."""
-    two_pi_k = 2.0 * np.pi * k
-    for _ in range(18):
-        r1, th1, vr1, vth1 = ev(l1)
-        r2, th2, vr2, vth2 = ev(l2)
-        F0 = (r1 - r2) / spec.b
-        F1 = th2 - th1 - two_pi_k
-        if abs(F0) < 1e-13 and abs(F1) < 1e-13:
-            if vr1 * vr2 >= 0.0:
-                return None                 # tangency or the same branch
-            return float(l1), float(l2)
-        J00, J01 = vr1 / spec.b, -vr2 / spec.b
-        J10, J11 = -vth1, vth2
-        det = J00 * J11 - J01 * J10
-        if det == 0.0 or not np.isfinite(det):
-            return None
-        d1 = (F0 * J11 - F1 * J01) / det
-        d2 = (J00 * F1 - J10 * F0) / det
-        l1, l2 = l1 - d1, l2 - d2
-        if not (-0.5 * L < l1 < 1.5 * L and -0.5 * L < l2 < 1.5 * L):
-            return None
-    return None
+    groups = {}
+    for f in crossing_points(spec, geo):
+        groups.setdefault(abs(f.chi), []).append(f)
+    return tuple(CrossingRadius(chi, len(group),
+                                tuple(sorted(f.theta for f in group)),
+                                tuple(group))
+                 for chi, group in sorted(groups.items()))

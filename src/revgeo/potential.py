@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_finite
 from .surface import Family, SurfaceSpec
 
 # relative slack when deciding E == U at an equilibrium level
@@ -31,17 +31,6 @@ class GeodesicClass(enum.Enum):
     UNBOUND = "unbound"
     LEMON_BOUND = "lemon-bound"
     APPLE_BOUND = "apple-bound"
-
-
-@dataclass(frozen=True)
-class PotentialProfile:
-    """Effective potential summary for one (spec, ell) pair."""
-
-    spec: SurfaceSpec
-    ell: float
-    U0: float                      # well bottom, at r = 0
-    U_inner: float                 # barrier at r = b*pi (inf off ring tori)
-    chi_inf: Optional[float]       # spindle axis angle where U blows up
 
 
 @dataclass(frozen=True)
@@ -74,27 +63,6 @@ def effective_potential(spec: SurfaceSpec, ell: float, r):
     return float(out) if out.ndim == 0 else out
 
 
-def effective_potential_derivative(spec: SurfaceSpec, ell: float, r):
-    """dU/dr = -ell^2 R' / R^3."""
-    R = np.asarray(spec.R(r), dtype=float)
-    Rp = np.asarray(spec.Rprime(r), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(R == 0.0, np.inf, -ell * ell * Rp / R ** 3)
-    return float(out) if out.ndim == 0 else out
-
-
-def potential_profile(spec: SurfaceSpec, ell: float) -> PotentialProfile:
-    U0 = effective_potential(spec, ell, 0.0)
-    if spec.family is Family.RING:
-        U_inner = effective_potential(spec, ell, spec.b * np.pi)
-    else:
-        # off ring tori the surface meets the axis before chi reaches pi,
-        # so the well is closed by an infinite wall
-        U_inner = np.inf
-    chi_inf = chi_sup(spec) if spec.family is Family.SPINDLE else None
-    return PotentialProfile(spec, ell, U0, U_inner, chi_inf)
-
-
 def classify(spec: SurfaceSpec, E: float, ell: float):
     """Sort (E, ell) initial data at r = 0 into the geodesic taxonomy.
 
@@ -102,6 +70,7 @@ def classify(spec: SurfaceSpec, E: float, ell: float):
     the ring-torus critical level, where the inner equator circle and the
     asymptotic spirals share the same energy.
     """
+    _require_finite(E=E, ell=ell)
     if not E > 0:
         raise DomainError("classification needs positive kinetic energy")
     if ell == 0.0:
@@ -131,6 +100,7 @@ def turning_point(spec: SurfaceSpec, beta0: float) -> TurningPoints:
     None when the launch is steep enough to escape through the hole
     (ring tori with |sin beta0| < c/(2+c)).
     """
+    _require_finite(beta0=beta0)
     s = abs(np.sin(beta0))
     c = spec.c
     if c > 0 and s < c / (2.0 + c):

@@ -12,8 +12,7 @@ from revgeo import (DomainError, InvalidParameterError, UnstableOrbitError,
 from revgeo.central_force import (ForceParams, OrbitClass, apsidal_angle,
                                   circular_radii, classify_orbit,
                                   epicyclic_frequency, integrate_orbit,
-                                  perihelion_precession, total_potential,
-                                  total_potential_derivative)
+                                  perihelion_precession, total_potential)
 
 KEPLER = ForceParams(1.0, 0.0)
 CORRECTED = ForceParams(1.0, 0.02)
@@ -54,8 +53,8 @@ def test_potential_and_derivative():
     for x in (0.4, 1.3):
         num = (total_potential(CORRECTED, 1.0, x + h)
                - total_potential(CORRECTED, 1.0, x - h)) / (2.0 * h)
-        assert total_potential_derivative(CORRECTED, 1.0, x) == pytest.approx(
-            num, rel=1e-8)
+        dU = -1.0 / x ** 3 + CORRECTED.k1 / x ** 2 + 3.0 * CORRECTED.k2 / x ** 4
+        assert dU == pytest.approx(num, rel=1e-8)
 
 
 def test_kepler_apsidal_angle_is_pi():

@@ -101,6 +101,11 @@ def test_potential_svg_bands_and_levels(capsys):
     ("potential", "--ell", "1", "--samples", "0"),
     ("geodesic", "--beta0", "0.5", "--samples", "0"),
     ("expmap", "--rays", "3", "--samples", "0"),
+    ("potential", "--ell", "1", "--chi-span", "0"),
+    ("potential", "--ell", "1", "--chi-span", "-1"),
+    ("spectrum", "--m-max", "-1", "--no-verify"),
+    ("spectrum", "--n-max", "-1", "--no-verify"),
+    ("bvp", "--r1", "0", "--r2", "1", "--dtheta", "1", "--k-max", "-1"),
 ])
 def test_bad_boundary_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,21 +1,26 @@
 """Closed-geodesic spectrum, closure checks, and self-intersection structure.
 
 Root and crossing-radius decimals are frozen from converged runs that were
-cross-checked by independent ODE shooting (refine tests) and by the
-brute-force sign scan at the bottom of this file.
+cross-checked by independent ODE shooting (refine tests), by the
+brute-force sign scan at the bottom of this file, and, for the crossing
+points, by the DOP853 trace and a 30-digit mpmath orbit angle.
 """
 
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from revgeo import (ClosedLabel, DomainError, InvalidParameterError,
-                    NonexistentGeodesicError, SurfaceSpec)
-from revgeo.closed import (find_closed, precession_rate, refine_via_ode,
-                           self_intersections, spectrum, verify_closure)
+                    NonexistentGeodesicError, SurfaceSpec, closed, dynamics)
+from revgeo.closed import (crossing_points, find_closed, precession_rate,
+                           refine_via_ode, self_intersections, spectrum,
+                           verify_closure)
 from revgeo.dynamics import (IntegratorConfig, initial_state_from_angle,
                              integrate)
+from revgeo.errors import RevgeoError
 from revgeo.integrals import theta_frequency_unbound
 from revgeo.potential import critical_angles
 from revgeo.surface import embed
@@ -222,8 +227,9 @@ def test_crossing_radii_frozen(ring, mn):
 
 
 def test_crossing_count_rules(ring):
-    # n = 1 none; n = 2 or 3 one radius; larger n two radii, with the chi = 0
-    # radius present exactly when n is even
+    # floor(n/2) radii: for the table's n <= 5, one radius for n = 2 or 3
+    # and two for n = 4 or 5, with the chi = 0 radius present exactly when
+    # n is even
     for (m, n), expected in CROSSING_TABLE.items():
         if n in (2, 3):
             assert len(expected) == 1
@@ -269,7 +275,7 @@ def test_crossing_points_are_geometric_intersections(ring):
 
 def _brute_crossing_count(spec, geo, samples=200001, grid_n=150001):
     """Count self-intersections by a sign scan over the azimuth-shifted
-    radial profile. Independent of the Newton machinery under test."""
+    radial profile. Independent of the orbit-angle route under test."""
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12,
                            max_lambda=geo.length, method="DOP853")
     trace = integrate(spec, initial_state_from_angle(spec, geo.beta0), cfg)
@@ -301,3 +307,114 @@ def test_crossing_totals_against_brute_force(ring, mn, total):
     radii = self_intersections(ring, geo)
     assert sum(r.count for r in radii) == total
     assert _brute_crossing_count(ring, geo) == total
+
+
+def _count_rule_fault(m, n, radii):
+    """'' when the radii obey the rule for a bound [m, n; 0], else the fault.
+
+    floor(n/2) radii, chi == 0.0 among them exactly when n is even, m points
+    at chi = 0 and 2m on every other radius, and within each sign of chi
+    azimuths on the 2 pi / m lattice.
+    """
+    if len(radii) != n // 2:
+        return f"{len(radii)} radii, want {n // 2}"
+    if (n % 2 == 0) != any(r.chi == 0.0 for r in radii):
+        return "zero-radius presence wrong"
+    for r in radii:
+        want = m if r.chi == 0.0 else 2 * m
+        if r.count != want or len(r.points) != want:
+            return f"{r.count} points at chi={r.chi:.6f}, want {want}"
+        for sign in {math.copysign(1.0, p.chi) for p in r.points}:
+            th = np.sort([p.theta for p in r.points
+                          if math.copysign(1.0, p.chi) == sign])
+            gaps = np.diff(np.concatenate([th, [th[0] + 2.0 * np.pi]]))
+            if len(th) != m or not np.allclose(gaps, 2.0 * np.pi / m,
+                                               atol=1e-9):
+                return f"azimuths off the 2 pi/m lattice at chi={r.chi:.6f}"
+    return ""
+
+
+@pytest.mark.parametrize("ab", [(2.0, 1.0), (1.0, 1.0), (0.5, 1.0),
+                                (-0.5, 1.0)])
+def test_crossing_count_rule_every_bound_label(ab):
+    spec = SurfaceSpec(*ab)
+    faults, solved = [], 0
+    for m in range(1, 8):
+        for n in range(2, 8):
+            if math.gcd(m, n) != 1:
+                continue
+            try:
+                geo = find_closed(spec, (m, n, 0))
+            except RevgeoError:
+                continue
+            solved += 1
+            fault = _count_rule_fault(m, n, self_intersections(spec, geo))
+            if fault:
+                faults.append(f"[{m},{n};0]: {fault}")
+    assert solved > 0
+    assert not faults
+
+
+# labels where a sampled-polyline sweep missed double points
+@pytest.mark.parametrize("ab,mn", [((-0.5, 1.0), (6, 7)), ((1.0, 1.0), (1, 7)),
+                                   ((2.0, 1.0), (1, 6)), ((3.6, 1.0), (1, 6)),
+                                   ((3.6, 1.0), (1, 7))])
+def test_crossing_regressions(ab, mn):
+    spec = SurfaceSpec(*ab)
+    m, n = mn
+    radii = self_intersections(spec, find_closed(spec, (m, n, 0)))
+    assert _count_rule_fault(m, n, radii) == ""
+    assert sum(r.count for r in radii) == m * (n - 1)
+
+
+@pytest.mark.parametrize("ab,mn", [((2.0, 1.0), (1, 2)), ((2.0, 1.0), (4, 5)),
+                                   ((1.0, 1.0), (1, 7)), ((1.0, 1.0), (2, 3)),
+                                   ((0.5, 1.0), (6, 5)), ((-0.5, 1.0), (6, 7))])
+def test_crossing_points_on_the_ode_trace(ab, mn):
+    spec = SurfaceSpec(*ab)
+    geo = find_closed(spec, (mn[0], mn[1], 0))
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=geo.length)
+    trace = integrate(spec, initial_state_from_angle(spec, geo.beta0), cfg)
+    points = crossing_points(spec, geo)
+    assert len(points) == mn[0] * (mn[1] - 1)
+    for pt in points:
+        assert 0.0 <= pt.lam1 < pt.lam2 < geo.length
+        s1, s2 = trace.dense(pt.lam1), trace.dense(pt.lam2)
+        p1 = embed(spec, float(s1[0]), float(s1[1]))
+        p2 = embed(spec, float(s2[0]), float(s2[1]))
+        assert np.linalg.norm(p1 - p2) < 1e-9
+        assert float(s1[0]) / spec.b == pytest.approx(pt.chi, abs=1e-9)
+        assert float(s1[2]) * float(s2[2]) < 0.0   # transversal in vr
+
+
+def test_crossings_integrate_no_ode(ring, monkeypatch):
+    geos = [find_closed(ring, label) for label in
+            ((3, 4, 0), (2, 5, 0), (1, 1, 0), (2, 1, 1), (0, 1, 0))]
+
+    def no_ode(*args, **kwargs):
+        raise AssertionError("crossings must not integrate the ODE")
+
+    monkeypatch.setattr(closed, "integrate", no_ode)
+    monkeypatch.setattr(dynamics, "integrate", no_ode)
+    for geo in geos:
+        crossing_points(ring, geo)
+        self_intersections(ring, geo)
+
+
+def test_crossing_radius_against_mpmath(ring):
+    # [1,5;0] sits 1.9e-7 above beta_crit; its inner radius is where the
+    # orbit angle reaches pi (5 - 2*2) / 2 = pi / 2
+    geo = find_closed(ring, (1, 5, 0))
+    chi = self_intersections(ring, geo)[0].chi
+    with mpmath.workdps(30):
+        c = mpmath.mpf(ring.c)
+        w = (c + 2) * mpmath.sin(mpmath.mpf(geo.beta0))
+
+        def dtheta(x):
+            rho = c + 1 + mpmath.cos(x)
+            return w / rho / mpmath.sqrt(rho ** 2 - w ** 2)
+
+        x = mpmath.mpf(chi)
+        for _ in range(3):
+            x -= (mpmath.quad(dtheta, [0, x]) - mpmath.pi / 2) / dtheta(x)
+        assert abs(float(x) - chi) < 1e-13

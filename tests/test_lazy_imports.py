@@ -25,7 +25,7 @@ PUBLIC = [
     'INNER_EQUATOR', 'IntegrationError', 'IntegratorConfig',
     'InvalidParameterError', 'NoSolutionError', 'NonexistentGeodesicError',
     'OUTER_EQUATOR', 'OrbitClass', 'OrbitTrace', 'OscillationData',
-    'PlaneOrbit', 'PotentialProfile', 'PrecessionData', 'RayPath',
+    'PlaneOrbit', 'PrecessionData', 'RayPath',
     'RefineResult', 'RevgeoError', 'SelfIntersection', 'SingularAxisError',
     'SpectrumEntry', 'SpectrumResult', 'SurfaceSpec', 'TURNING_POINT',
     'TurningPoints', 'TwoPointResult', 'UnstableOrbitError', 'affine_time',
@@ -33,17 +33,16 @@ PUBLIC = [
     'central_force', 'chi_sup', 'circular_radii',
     'classify', 'classify_orbit', 'closed', 'conserved', 'critical_angles',
     'critical_divergence_estimate', 'crossing_points', 'dynamics',
-    'effective_potential', 'effective_potential_derivative', 'embed',
+    'effective_potential', 'embed',
     'epicyclic_frequency', 'errors', 'exp_map_rays', 'find_closed',
     'flat_lattice', 'flat_length', 'flat_segments', 'flat_torus',
     'frequency_branch', 'gaussian_curvature',
     'initial_state_from_angle', 'integrals', 'integrate', 'integrate_orbit',
     'make_torus', 'orbit_angle', 'perihelion_precession',
-    'potential', 'potential_profile', 'precession_rate', 'refine_via_ode',
+    'potential', 'precession_rate', 'refine_via_ode',
     'self_intersections', 'small_oscillation',
     'solve_two_point', 'spectrum', 'surface', 'theta_frequency_bound',
-    'theta_frequency_unbound', 'total_potential',
-    'total_potential_derivative', 'turning_point', 'two_point',
+    'theta_frequency_unbound', 'total_potential', 'turning_point', 'two_point',
     'verify_closure'
 ]
 

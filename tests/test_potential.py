@@ -6,9 +6,7 @@ import pytest
 from revgeo import DomainError, SurfaceSpec
 from revgeo.dynamics import GeodesicState, conserved, initial_state_from_angle
 from revgeo.potential import (GeodesicClass, classify, critical_angles,
-                              effective_potential,
-                              effective_potential_derivative,
-                              potential_profile, small_oscillation,
+                              effective_potential, small_oscillation,
                               turning_point)
 
 # analytic values on the unit ring torus (a=2, b=1, c=1)
@@ -22,11 +20,12 @@ def test_potential_values(ring):
                                                                 abs=1e-15)
     assert effective_potential(ring, 1.0, np.pi) == pytest.approx(0.5,
                                                                   abs=1e-14)
-    # extrema: dU/dr = 0 on both equators
-    assert effective_potential_derivative(ring, 1.0, 0.0) == pytest.approx(
-        0.0, abs=1e-14)
-    assert effective_potential_derivative(ring, 1.0, np.pi) == pytest.approx(
-        0.0, abs=1e-13)
+    # extrema: dU/dr = 0 on both equators, by central differences
+    h = 1e-5
+    for r in (0.0, np.pi):
+        dU = (effective_potential(ring, 1.0, r + h)
+              - effective_potential(ring, 1.0, r - h)) / (2.0 * h)
+        assert dU == pytest.approx(0.0, abs=1e-10)
 
 
 def test_potential_scaling_in_ell(ring, rng):
@@ -98,14 +97,14 @@ def test_classification_needs_positive_energy(ring):
         classify(ring, 0.0, 0.0)
 
 
-def test_potential_profile(ring, horn, spindle):
-    pp = potential_profile(ring, 1.0)
-    assert pp.U0 == pytest.approx(1.0 / 18.0, abs=1e-15)
-    assert pp.U_inner == pytest.approx(0.5, abs=1e-14)
-    assert potential_profile(horn, 1.0).U_inner == np.inf
-    sp = potential_profile(spindle, 1.0)
-    assert sp.U_inner == np.inf
-    assert sp.chi_inf == pytest.approx(2.0 * np.pi / 3.0, abs=1e-14)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_raise_domain_error(ring, bad):
+    calls = [lambda: turning_point(ring, bad),
+             lambda: classify(ring, 0.5, bad),
+             lambda: classify(ring, bad, 1.0)]
+    for call in calls:
+        with pytest.raises(DomainError, match="finite"):
+            call()
 
 
 def test_small_oscillation(ring, sphere):
