@@ -11,7 +11,8 @@ naive equator route.
 import numpy as np
 
 from revgeo import SurfaceSpec
-from revgeo.two_point import exp_map_rays, solve_two_point
+from revgeo.dynamics import exp_map_rays
+from revgeo.two_point import solve_two_point
 
 ring = SurfaceSpec(2.0, 1.0)
 

@@ -3,11 +3,12 @@
 Layers, roughly bottom to top:
 
   surface        profile functions, families, curvature, embedding
-  dynamics       geodesic ODEs, conservation, event-tagged integration
+  dynamics       geodesic ODEs, conservation, event-tagged integration,
+                 exponential-map fans
   potential      1d radial reduction: wells, turning points, critical angles
   integrals      orbit-angle / arc-length / affine-time quadratures
   closed         closed-geodesic spectrum [m, n; p] and self-intersections
-  two_point      boundary value problem and exponential-map fans
+  two_point      boundary value problem
   flat_torus     the flat comparison case
   central_force  the same reduction applied to planar orbits
 """
@@ -28,8 +29,8 @@ _LAYERS = {
                "self_intersections", "spectrum", "verify_closure"),
     "dynamics": ("INNER_EQUATOR", "OUTER_EQUATOR", "TURNING_POINT",
                  "ConservedSet", "Event", "GeodesicState", "IntegratorConfig",
-                 "OrbitTrace", "conserved", "initial_state_from_angle",
-                 "integrate"),
+                 "OrbitTrace", "RayPath", "conserved", "exp_map_rays",
+                 "initial_state_from_angle", "integrate"),
     "errors": ("ConvergenceError", "DomainError", "ForbiddenRegionError",
                "IntegrationError", "InvalidParameterError",
                "NonexistentGeodesicError", "NoSolutionError", "RevgeoError",
@@ -46,8 +47,7 @@ _LAYERS = {
                   "turning_point"),
     "surface": ("Family", "SurfaceSpec", "embed", "gaussian_curvature",
                 "make_torus"),
-    "two_point": ("ConnectingGeodesic", "RayPath", "TwoPointResult",
-                  "exp_map_rays", "solve_two_point"),
+    "two_point": ("ConnectingGeodesic", "TwoPointResult", "solve_two_point"),
 }
 _OWNER = {name: layer for layer, names in _LAYERS.items() for name in names}
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 # the layers each subcommand runs are imported inside its runner, so a
-# command loads scipy only if it integrates, solves or bisects something
+# command loads scipy only if it runs quadrature or a planar orbit
 from .errors import (ConvergenceError, DomainError, ForbiddenRegionError,
                      IntegrationError, InvalidParameterError,
                      NonexistentGeodesicError, NoSolutionError,
@@ -411,13 +411,13 @@ def _run_kepler(args):
 
 
 def _run_expmap(args):
-    from . import two_point
+    from . import dynamics
     spec = _surface(args)
     _default(args, "rays", 24)
     _default(args, "samples", 400)
-    rays = two_point.exp_map_rays(spec, n_rays=int(args.rays),
-                                  lam_max=args.lambda_max,
-                                  samples=int(args.samples))
+    rays = dynamics.exp_map_rays(spec, n_rays=int(args.rays),
+                                 lam_max=args.lambda_max,
+                                 samples=int(args.samples))
     rows = []
     for idx, ray in enumerate(rays):
         for l, r, th in zip(ray.lam, ray.r, ray.theta):

@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._solvers import brentq
 from .dynamics import (OUTER_EQUATOR, GeodesicState, IntegratorConfig,
                        initial_state_from_angle, integrate)
 from .errors import (ConvergenceError, DomainError, InvalidParameterError,

@@ -9,23 +9,24 @@ system
     dvtheta/dlam = -2 (R'(r)/R(r)) vr vtheta
 
 integrated with the adaptive Runge-Kutta pair DOP853 (Hairer, Norsett &
-Wanner, Solving ODEs I, II.5) and its dense output.
-Equator crossings and radial turning points are located in one array pass
-over all accepted steps, then refined by brentq on the dense output only
-where a bracket changes sign.
+Wanner, Solving ODEs I, II.5) and its dense output, both owned by
+_solvers and run on numpy alone. Equator crossings and radial turning
+points are located in one array pass over all accepted steps, then refined
+by brentq on the dense output only where a bracket changes sign. A fan of
+rays from one point (exp_map_rays) is the same integration repeated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from .errors import DomainError, IntegrationError
+from ._solvers import brentq, dop853
+from .errors import DomainError, IntegrationError, _require_finite
 from .surface import SurfaceSpec
 
 OUTER_EQUATOR = "outer-equator"
@@ -92,7 +93,7 @@ class OrbitTrace:
     lam: np.ndarray
     states: np.ndarray            # shape (4, n): rows r, theta, vr, vtheta
     events: list
-    dense: object                 # OdeSolution over [0, lam[-1]]
+    dense: object                 # _solvers.DenseOutput over [0, lam[-1]]
     e_drift: float
     ell_drift: float
     success: bool = True
@@ -121,6 +122,7 @@ def initial_state_from_angle(spec: SurfaceSpec, beta0: float) -> GeodesicState:
     so beta0 = 0 launches along the meridian and beta0 = pi/2 along the
     equator. |v| = 1, hence E = 1/2 and ell = R(0) sin(beta0).
     """
+    _require_finite(beta0=beta0)
     return GeodesicState(0.0, 0.0, np.cos(beta0), np.sin(beta0) / spec.R(0.0))
 
 
@@ -150,57 +152,30 @@ def conserved(spec: SurfaceSpec, state: GeodesicState) -> ConservedSet:
     return ConservedSet(E, ell, ell / np.sqrt(2.0 * E))
 
 
-def _dense_rows(coef, t_old, h, y_old, t):
-    """States at t (one row of points per step) from stacked dense coefficients.
-
-    Follows scipy's Dop853DenseOutput (Horner in x and 1 - x over its
-    coefficients F) operation by operation, so each row equals its step's
-    interpolant at the same points bit for bit. Returns shape
-    (steps, 4, points).
-    """
-    x = ((t - t_old[:, None]) / h[:, None])[:, :, None]
-    y = np.zeros(x.shape[:2] + y_old.shape[1:])
-    for i in range(coef.shape[1]):
-        y += coef[:, None, -1 - i]
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
-    y = y.transpose(0, 2, 1)
-    y += y_old[:, :, None]
-    return y
-
-
-def _event_samples(dense, lam, states):
+def _event_samples(dense, lam):
     """Blocks (ts, ys) of event samples over all accepted steps.
 
     Each step is sampled at _EVENT_SUBSAMPLES + 1 evenly spaced points,
     ts of shape (steps, points), a block of _EVENT_BLOCK steps at a time.
     ys (steps, 4, points) equals dense(ts[k]) of each step k bit for bit:
-    OdeSolution evaluates a step's first point, shared with the step
-    before, on that earlier step's interpolant, and the others on the
+    the dense output evaluates a step's first point, shared with the step
+    before, on that earlier step's coefficients, and the others on the
     step's own. (A step of a few ulps, which only a last step clipped to
     max_lambda can be, may round interior points onto its ends; those
-    are then taken from the step's own interpolant.)
+    are then taken from the step's own coefficients.)
     """
     n = len(lam) - 1
     for lo in range(0, n, _EVENT_BLOCK):
         hi = min(lo + _EVENT_BLOCK, n)
-        first = max(lo - 1, 0)
-        coef = np.array([ip.F for ip in dense.interpolants[first:hi]])
-        t_old = lam[first:hi]
-        h = lam[first + 1:hi + 1] - t_old
-        y_old = states[:, first:hi].T
-        own = np.arange(lo - first, hi - first)
+        own = np.arange(lo, hi)
         prev = np.maximum(own - 1, 0)
         ts = np.linspace(lam[lo:hi], lam[lo + 1:hi + 1], _EVENT_SUBSAMPLES + 1, axis=1)
-        ys = np.concatenate(
-            [_dense_rows(coef[k], t_old[k], h[k], y_old[k], t)
-             for k, t in ((prev, ts[:, :1]), (own, ts[:, 1:]))], axis=2)
+        ys = np.concatenate([dense.rows(prev, ts[:, :1]), dense.rows(own, ts[:, 1:])],
+                            axis=2)
         yield ts, ys
 
 
-def _locate_events(spec, dense, lam, states, speed):
+def _locate_events(spec, dense, lam, speed):
     """Event roots (kind, lam) of all accepted steps, in step order.
 
     Only brackets where a channel changes sign above the noise level are
@@ -212,7 +187,7 @@ def _locate_events(spec, dense, lam, states, speed):
               lambda t: dense(t)[2])
     noise = _EVENT_NOISE * np.array([1.0, 1.0, speed])[:, None]
     found = []
-    for ts, ys in _event_samples(dense, lam, states):
+    for ts, ys in _event_samples(dense, lam):
         half = ys[:, 0] / (2.0 * b)
         g = np.stack((np.sin(half), np.cos(half), ys[:, 2]), axis=1)
         g0, g1 = g[..., :-1], g[..., 1:]
@@ -237,18 +212,17 @@ def integrate(spec: SurfaceSpec, state0: GeodesicState,
     y0 = state0.as_array()
     if not np.all(np.isfinite(y0)):
         raise DomainError(f"initial state must be finite, got {y0.tolist()}")
-    sol = solve_ivp(_rhs, (0.0, cfg.max_lambda), y0, args=(spec,),
-                    method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    dense_output=True)
-    if not sol.success:
-        partial = _build_trace(spec, cfg, sol)
-        raise IntegrationError(f"integration stopped early: {sol.message}", trace=partial)
-    return _build_trace(spec, cfg, sol)
+    run = dop853(lambda lam, y: _rhs(lam, y, spec), 0.0, cfg.max_lambda, y0,
+                 cfg.rel_tol, cfg.abs_tol)
+    trace = _build_trace(spec, cfg, run)
+    if not run.success:
+        raise IntegrationError(f"integration stopped early: {run.message}", trace=trace)
+    return trace
 
 
-def _build_trace(spec, cfg, sol):
-    lam = sol.t
-    states = sol.y
+def _build_trace(spec, cfg, run):
+    lam = run.t
+    states = run.y
     cons0 = conserved(spec, GeodesicState(*states[:, 0], lam=lam[0]))
     speed = np.sqrt(2.0 * cons0.E)
 
@@ -260,8 +234,8 @@ def _build_trace(spec, cfg, sol):
                  if cons0.ell != 0.0 else float(np.max(np.abs(ell))))
 
     events = []
-    if sol.sol is not None and lam[-1] != lam[0]:     # max_lambda = 0 takes no step
-        raw = _locate_events(spec, sol.sol, lam, states, speed)
+    if lam[-1] != lam[0]:     # max_lambda = 0 takes no step
+        raw = _locate_events(spec, run.dense, lam, speed)
         raw.sort(key=lambda kl: kl[1])
         last_by_kind = {}
         for kind, lam_ev in raw:
@@ -269,9 +243,59 @@ def _build_trace(spec, cfg, sol):
             if prev is not None and abs(prev - lam_ev) < 1e-9:
                 continue  # same root caught from both sides of a step boundary
             last_by_kind[kind] = lam_ev
-            st = GeodesicState(*sol.sol(lam_ev), lam=lam_ev)
+            st = GeodesicState(*run.dense(lam_ev), lam=lam_ev)
             events.append(Event(kind, lam_ev, st))
 
     return OrbitTrace(spec=spec, config=cfg, lam=lam, states=states, events=events,
-                      dense=sol.sol, e_drift=e_drift, ell_drift=ell_drift,
-                      success=sol.success, message=sol.message)
+                      dense=run.dense, e_drift=e_drift, ell_drift=ell_drift,
+                      success=run.success, message=run.message)
+
+
+@dataclass(frozen=True)
+class RayPath:
+    beta0: float
+    lam: np.ndarray
+    r: np.ndarray
+    theta: np.ndarray
+
+
+def _count(name, value, least, why):
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise DomainError(f"{why}, got {name} = {count}")
+    return count
+
+
+def exp_map_rays(spec: SurfaceSpec, n_rays: int = 24,
+                 lam_max: Optional[float] = None, samples: int = 400) -> tuple:
+    """Fan of unit-speed geodesics from the outer-equator point (0, 0).
+
+    Launch angles run from 0 (meridian) to pi/2 (outer equator) inclusive.
+    The two closed extremes are integrated over exactly one circuit
+    (2 pi b and 2 pi (a+b)); interior rays run to lam_max, default one
+    outer-equator circuit. Rays of equal span share one read-only lam array.
+    """
+    n_rays = _count("n_rays", n_rays, 2, "need at least the meridian and equator rays")
+    samples = _count("samples", samples, 1, "need at least one sample per ray")
+    default_span = 2.0 * np.pi * (spec.a + spec.b)
+    grids = {}                      # one read-only sample grid per distinct span
+    rays = []
+    for beta0 in np.linspace(0.0, np.pi / 2.0, n_rays):
+        if beta0 == 0.0:
+            span = 2.0 * np.pi * spec.b
+        elif beta0 == np.pi / 2.0:
+            span = default_span
+        else:
+            span = lam_max if lam_max is not None else default_span
+        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, max_lambda=span)
+        trace = integrate(spec, initial_state_from_angle(spec, beta0), cfg)
+        lams = grids.get(span)
+        if lams is None:
+            lams = grids[span] = np.linspace(0.0, span, samples)
+            lams.flags.writeable = False
+        Y = trace.dense(lams)
+        rays.append(RayPath(float(beta0), lams, Y[0].copy(), Y[1].copy()))
+    return tuple(rays)

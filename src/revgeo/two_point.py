@@ -1,4 +1,4 @@
-"""Connecting geodesics between two surface points, and exponential-map fans.
+"""Connecting geodesics between two surface points.
 
 A geodesic from (r1, 0) to (r2, dtheta) is determined by its Clairaut
 constant p = R sin(beta) together with a fold pattern: the radial coordinate
@@ -21,12 +21,14 @@ monotone sweeps per momentum. The tables live for one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .dynamics import IntegratorConfig, initial_state_from_angle, integrate
+from ._solvers import brentq
+# exp_map_rays and RayPath live in dynamics: a fan of rays is pure ODE work.
+# They stay importable from here, where callers such as
+# perfbench/workloads.py look them up.
+from .dynamics import RayPath, exp_map_rays  # noqa: F401
 from .errors import DomainError, ForbiddenRegionError, NoSolutionError
 from .integrals import (_LENGTH, _ORBIT, _bound_primitive, _bound_tail,
                         _monotone_arc, _rho)
@@ -288,45 +290,3 @@ def solve_two_point(spec: SurfaceSpec, r1: float, r2: float, dtheta: float,
            abs(cands[0].length - cands[1].length)
            < _TIE_RTOL * max(1.0, cands[0].length))
     return TwoPointResult(spec, r1, r2, dtheta, tuple(cands), tie)
-
-
-@dataclass(frozen=True)
-class RayPath:
-    beta0: float
-    lam: np.ndarray
-    r: np.ndarray
-    theta: np.ndarray
-
-
-def exp_map_rays(spec: SurfaceSpec, n_rays: int = 24,
-                 lam_max: Optional[float] = None, samples: int = 400) -> tuple:
-    """Fan of unit-speed geodesics from the outer-equator point (0, 0).
-
-    Launch angles run from 0 (meridian) to pi/2 (outer equator) inclusive.
-    The two closed extremes are integrated over exactly one circuit
-    (2 pi b and 2 pi (a+b)); interior rays run to lam_max, default one
-    outer-equator circuit. Rays of equal span share one read-only lam array.
-    """
-    if n_rays < 2:
-        raise DomainError("need at least the meridian and equator rays")
-    if samples < 1:
-        raise DomainError(f"need at least one sample per ray, got {samples}")
-    default_span = 2.0 * np.pi * (spec.a + spec.b)
-    grids = {}                      # one read-only sample grid per distinct span
-    rays = []
-    for beta0 in np.linspace(0.0, np.pi / 2.0, n_rays):
-        if beta0 == 0.0:
-            span = 2.0 * np.pi * spec.b
-        elif beta0 == np.pi / 2.0:
-            span = default_span
-        else:
-            span = lam_max if lam_max is not None else default_span
-        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, max_lambda=span)
-        trace = integrate(spec, initial_state_from_angle(spec, beta0), cfg)
-        lams = grids.get(span)
-        if lams is None:
-            lams = grids[span] = np.linspace(0.0, span, samples)
-            lams.flags.writeable = False
-        Y = trace.dense(lams)
-        rays.append(RayPath(float(beta0), lams, Y[0].copy(), Y[1].copy()))
-    return tuple(rays)

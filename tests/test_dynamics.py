@@ -32,6 +32,12 @@ def test_initial_state(ring):
     assert c.clairaut == pytest.approx(c.ell, abs=1e-14)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_initial_state_rejects_non_finite_angle(ring, bad):
+    with pytest.raises(DomainError, match="beta0"):
+        initial_state_from_angle(ring, bad)
+
+
 def test_rhs_matches_christoffel(ring):
     st = GeodesicState(r=0.7, theta=0.2, vr=0.4, vtheta=0.11)
     d = dynamics._rhs(st.lam, st.as_array(), ring)
@@ -226,7 +232,7 @@ def test_events_match_per_step_scan(name):
 def test_stacked_samples_equal_dense_output(name):
     _, tr = _battery_trace(name)
     k0 = 0
-    for ts, ys in dynamics._event_samples(tr.dense, tr.lam, tr.states):
+    for ts, ys in dynamics._event_samples(tr.dense, tr.lam):
         assert ys.shape == (len(ts), 4, dynamics._EVENT_SUBSAMPLES + 1)
         for k in range(len(ts)):
             assert np.array_equal(ts[k], np.linspace(tr.lam[k0 + k], tr.lam[k0 + k + 1],

@@ -1,8 +1,11 @@
 """The package surface loads its layers on first use.
 
-`import revgeo` and the CLI subcommands that integrate, solve and bisect
-nothing must not import scipy, whose import costs several times the work of
-those commands; the public names are the pinned list below.
+`import revgeo`, `import revgeo.dynamics` and the CLI subcommands that need
+no quadrature (flat, potential, kepler without --t-max, and geodesic and
+expmap, which run the owned DOP853 integrator) must not import scipy, whose
+import costs several times the work of those commands. `import revgeo.cli`
+loads only the modules pinned below, since every CLI process pays for them.
+The public names are the pinned list below.
 """
 
 import json
@@ -55,12 +58,18 @@ def scipy_modules():
 import revgeo
 seen = {"import revgeo": scipy_modules()}
 from revgeo import cli
+cli_loads = sorted(m for m in sys.modules if m.split(".")[0] == "revgeo")
+import revgeo.dynamics
+seen["import revgeo.dynamics"] = scipy_modules()
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     seen[" ".join(argv)] = scipy_modules()
-print(json.dumps(seen))
+print(json.dumps({"scipy": seen, "cli_loads": cli_loads}))
 """
+
+# what `import revgeo.cli` loads of the package; the runners import the rest
+CLI_LOADS = ["revgeo", "revgeo.cli", "revgeo.errors", "revgeo.surface", "revgeo.svg"]
 
 SCIPY_FREE = [
     ["flat", "--m-max", "4", "--n-max", "5"],
@@ -69,6 +78,9 @@ SCIPY_FREE = [
     ["potential", "--a", "1", "--b", "2", "--ell", "0.5", "--format", "svg"],
     ["kepler", "--k1", "1", "--ell", "1", "--E", "-0.3"],
     ["kepler", "--k1", "1", "--k2", "1e-4", "--ell", "1", "--E", "-0.4"],
+    ["geodesic", "--beta0", "0.5", "--lambda-max", "40", "--samples", "400"],
+    ["expmap", "--rays", "6", "--lambda-max", "12", "--samples", "60"],
+    ["expmap", "--rays", "24", "--lambda-max", "20", "--format", "svg"],
 ]
 
 
@@ -79,9 +91,24 @@ def test_scipy_free_commands_import_no_scipy():
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(SCIPY_FREE)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert len(seen) == 1 + len(SCIPY_FREE)
+    report = json.loads(proc.stdout)
+    seen = report["scipy"]
+    assert len(seen) == 2 + len(SCIPY_FREE)
     assert seen == {step: [] for step in seen}
+    assert report["cli_loads"] == CLI_LOADS
+
+
+def test_only_quadrature_and_planar_orbits_import_scipy():
+    imports = {}
+    for path in sorted((SRC / "revgeo").glob("*.py")):
+        lines = [line.strip() for line in path.read_text().splitlines()
+                 if line.strip().startswith(("import scipy", "from scipy"))]
+        if lines:
+            imports[path.stem] = lines
+    assert imports == {
+        "central_force": ["from scipy.integrate import solve_ivp"],
+        "integrals": ["from scipy.integrate import IntegrationWarning, quad"],
+    }
 
 
 def test_public_names_unchanged_and_resolvable():

@@ -1,0 +1,249 @@
+"""The owned DOP853 and brentq against scipy, bit for bit.
+
+_solvers repeats scipy's solve_ivp(method="DOP853", dense_output=True),
+OdeSolution and scipy.optimize.brentq operation for operation, so every
+number here is compared with ==, never with a tolerance. scipy is the
+oracle: it is imported by these tests only.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
+from scipy.optimize import brentq as scipy_brentq
+
+from revgeo import _solvers, dynamics
+from revgeo.dynamics import IntegratorConfig, initial_state_from_angle, integrate
+from revgeo.errors import IntegrationError
+from revgeo.surface import SurfaceSpec
+
+SURFACES = {"ring": (2.0, 1.0), "horn": (1.0, 1.0), "apple": (0.5, 1.0),
+            "lemon": (-0.5, 1.0)}
+LAUNCHES = (0.0, 0.7, np.pi / 2.0)
+SPANS = (25.0, -25.0, 0.0)
+TOLERANCES = ((1e-10, 1e-12), (1e-12, 1e-13))
+
+
+def test_tableau_equals_scipy():
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        assert np.array_equal(getattr(_solvers, name), getattr(scipy_tableau, name)), name
+    assert _solvers.N_STAGES == scipy_tableau.N_STAGES
+    assert _solvers.N_STAGES_EXTENDED == scipy_tableau.N_STAGES_EXTENDED
+    assert _solvers.INTERPOLATOR_POWER == scipy_tableau.INTERPOLATOR_POWER
+
+
+class _ScipyDense:
+    """scipy's OdeSolution behind the interface dynamics uses."""
+
+    def __init__(self, sol):
+        self.sol = sol
+
+    def __call__(self, t):
+        return self.sol(t)
+
+    def rows(self, steps, t):
+        return np.stack([self.sol.interpolants[k](tk) for k, tk in zip(steps, t)])
+
+
+def _scipy_trace(spec, cfg, y0, monkeypatch):
+    """The trace that scipy's stepper, dense output and brentq give."""
+    sol = solve_ivp(dynamics._rhs, (0.0, cfg.max_lambda), y0, args=(spec,),
+                    method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                    dense_output=True)
+    run = SimpleNamespace(t=sol.t, y=sol.y, dense=_ScipyDense(sol.sol),
+                          success=sol.success, message=sol.message)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "brentq", scipy_brentq)
+        return sol, dynamics._build_trace(spec, cfg, run)
+
+
+def _owned_trace(spec, cfg, state0, monkeypatch):
+    """integrate() with its right-hand-side calls counted."""
+    calls = [0]
+    rhs = dynamics._rhs
+
+    def counted(lam, y, spec):
+        calls[0] += 1
+        return rhs(lam, y, spec)
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_rhs", counted)
+        trace = integrate(spec, state0, cfg)
+    return trace, calls[0]
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=("rtol1e-10", "rtol1e-12"))
+@pytest.mark.parametrize("span", SPANS, ids=("forward", "backward", "zero"))
+@pytest.mark.parametrize("beta0", LAUNCHES, ids=("meridian", "mid", "equator"))
+@pytest.mark.parametrize("family", sorted(SURFACES))
+def test_integrate_equals_solve_ivp(family, beta0, span, tol, monkeypatch):
+    spec = SurfaceSpec(*SURFACES[family])
+    state0 = initial_state_from_angle(spec, beta0)
+    cfg = IntegratorConfig(rel_tol=tol[0], abs_tol=tol[1], max_lambda=span)
+    sol, ref = _scipy_trace(spec, cfg, state0.as_array(), monkeypatch)
+    trace, nfev = _owned_trace(spec, cfg, state0, monkeypatch)
+
+    assert np.array_equal(trace.lam, sol.t)
+    assert np.array_equal(trace.states, sol.y)
+    assert trace.states.flags.f_contiguous == sol.y.flags.f_contiguous
+    assert nfev == sol.nfev
+    if span != 0.0:
+        F = np.array([ip.F for ip in sol.sol.interpolants])
+        assert np.array_equal(trace.dense.F, F)
+    assert [(e.kind, e.lam, e.state) for e in trace.events] == \
+        [(e.kind, e.lam, e.state) for e in ref.events]
+    assert (trace.e_drift, trace.ell_drift) == (ref.e_drift, ref.ell_drift)
+    assert (trace.success, trace.message) == (sol.success, sol.message)
+    if span == 25.0 and beta0 == 0.7:
+        assert trace.events
+
+
+@pytest.mark.parametrize("span", (30.0, -30.0, 0.0))
+def test_dense_output_equals_ode_solution(ring, span):
+    state0 = initial_state_from_angle(ring, 0.47)
+    cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, max_lambda=span)
+    trace = integrate(ring, state0, cfg)
+    sol = solve_ivp(dynamics._rhs, (0.0, span), state0.as_array(), args=(ring,),
+                    method="DOP853", rtol=1e-11, atol=1e-12, dense_output=True).sol
+    rng = np.random.default_rng(5)
+    inside = np.linspace(0.0, span, 301)
+    outside = np.array([-1.0, 1.0, span - 1.0, span + 1.0])
+    points = {
+        "sorted": inside,
+        "reversed": inside[::-1],
+        "unsorted": rng.permutation(np.concatenate([inside, trace.lam, outside])),
+        "boundaries": trace.lam,
+        "outside": outside,
+    }
+    for name, ts in points.items():
+        got = trace.dense(ts)
+        assert got.shape == (4, len(ts)) and got.flags.c_contiguous, name
+        assert np.array_equal(got, sol(ts)), name
+    for t in [*trace.lam, *inside[::7], *outside]:
+        assert np.array_equal(trace.dense(t), sol(t)), t
+        assert np.array_equal(trace.dense(float(t)), sol(float(t))), t
+
+
+def test_dop853_equals_solve_ivp_when_the_step_size_underflows():
+    # y' = y^2 blows up at t = 1: both stop with the same partial run
+    def blow_up(t, y):
+        return np.array([y[0] * y[0], -y[1]])
+
+    calls = [0]
+
+    def counted(t, y):
+        calls[0] += 1
+        return blow_up(t, y)
+
+    y0 = np.array([1.0, 2.0])
+    run = _solvers.dop853(counted, 0.0, 2.0, y0, 1e-10, 1e-12)
+    sol = solve_ivp(blow_up, (0.0, 2.0), y0, method="DOP853", rtol=1e-10,
+                    atol=1e-12, dense_output=True)
+    assert not sol.success and not run.success
+    assert run.message == sol.message == _solvers.TOO_SMALL_STEP
+    assert np.array_equal(run.t, sol.t) and np.array_equal(run.y, sol.y)
+    assert calls[0] == sol.nfev
+    ts = np.linspace(0.0, float(sol.t[-1]), 50)
+    assert np.array_equal(run.dense(ts), sol.sol(ts))
+
+
+def test_integration_error_carries_the_partial_trace(ring, monkeypatch):
+    def blow_up(lam, y, spec):
+        return np.array([y[2] * y[2], 0.0, y[2] * y[2], 0.0])
+
+    monkeypatch.setattr(dynamics, "_rhs", blow_up)
+    state0 = dynamics.GeodesicState(0.0, 0.0, 1.0, 0.2)
+    with pytest.raises(IntegrationError, match=_solvers.TOO_SMALL_STEP) as info:
+        integrate(ring, state0, IntegratorConfig(max_lambda=3.0))
+    sol = solve_ivp(blow_up, (0.0, 3.0), state0.as_array(), args=(ring,),
+                    method="DOP853", rtol=1e-10, atol=1e-12)
+    partial = info.value.trace
+    assert not partial.success and partial.message == sol.message
+    assert np.array_equal(partial.lam, sol.t) and np.array_equal(partial.states, sol.y)
+    assert 0.0 < partial.lam[-1] < 3.0
+
+
+def test_too_small_rtol_is_raised_with_a_warning():
+    def decay(t, y):
+        return -y
+
+    with pytest.warns(UserWarning, match="rtol"):
+        run = _solvers.dop853(decay, 0.0, 1.0, np.array([1.0]), 1e-16, 1e-20)
+    with pytest.warns(UserWarning, match="rtol"):
+        sol = solve_ivp(decay, (0.0, 1.0), [1.0], method="DOP853", rtol=1e-16,
+                        atol=1e-20)
+    assert np.array_equal(run.t, sol.t) and np.array_equal(run.y, sol.y)
+
+
+# -- brentq ----------------------------------------------------------------------
+
+FUNCTIONS = {
+    "cubic": lambda x, p: x ** 3 - p,
+    "tanh": lambda x, p: np.tanh(40.0 * (x - p)),
+    "sine": lambda x, p: np.sin(3.0 * x) - p,                 # not monotone
+    "wiggle": lambda x, p: (x - p) * (1.0 + 0.9 * np.cos(25.0 * x)),
+    "double": lambda x, p: (x - p) * (x + p) * (x - 2.0 * p),   # three roots
+    "step": lambda x, p: -1.0 if x < p else 1.0,               # no continuity
+    "tiny": lambda x, p: 1e-300 * (x - p),                     # products underflow
+    "exp": lambda x, p: np.exp(x) - 1.0 - p,
+}
+
+
+def _outcome(solver, f, a, b, **kwargs):
+    try:
+        return ("root", solver(f, a, b, **kwargs))
+    except (ValueError, RuntimeError) as exc:
+        return ("error", type(exc))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(FUNCTIONS)),
+       p=st.floats(-0.9, 0.9),
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+       xtol=st.sampled_from([2e-12, 1e-15, 1e-13, 1e-8, 1e-3]),
+       rtol=st.sampled_from([4 * np.finfo(float).eps, 8.9e-16, 1e-12, 1e-6]),
+       maxiter=st.sampled_from([100, 40, 5, 1, 0]))
+def test_brentq_equals_scipy(name, p, a, b, xtol, rtol, maxiter):
+    f = lambda x: FUNCTIONS[name](x, p)   # noqa: E731
+    kwargs = dict(xtol=xtol, rtol=rtol, maxiter=maxiter)
+    got = _outcome(_solvers.brentq, f, a, b, **kwargs)
+    want = _outcome(scipy_brentq, f, a, b, **kwargs)
+    assert got == want
+    if got[0] == "root":
+        assert type(got[1]) is float
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(xtol=0.0), dict(xtol=-1e-12), dict(rtol=1e-16), dict(rtol=0.0),
+])
+def test_brentq_rejects_tolerances_like_scipy(kwargs):
+    f = lambda x: x - 0.25   # noqa: E731
+    with pytest.raises(ValueError):
+        scipy_brentq(f, 0.0, 1.0, **kwargs)
+    with pytest.raises(ValueError):
+        _solvers.brentq(f, 0.0, 1.0, **kwargs)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x + 1.0,                                   # same signs
+    lambda x: 1e-200,                                    # same signs, tiny
+    lambda x: float("nan"),                              # NaN at an end
+    lambda x: float("nan") if 0.1 < x < 0.9 else x - 0.5,  # NaN inside
+])
+def test_brentq_value_errors_like_scipy(f):
+    with pytest.raises(ValueError):
+        scipy_brentq(f, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        _solvers.brentq(f, 0.0, 1.0)
+
+
+def test_brentq_runtime_error_like_scipy():
+    f = lambda x: np.tanh(40.0 * (x - 1.0 / 3.0))   # noqa: E731
+    with pytest.raises(RuntimeError):
+        scipy_brentq(f, 0.0, 1.0, maxiter=3)
+    with pytest.raises(RuntimeError):
+        _solvers.brentq(f, 0.0, 1.0, maxiter=3)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from revgeo import DomainError, SurfaceSpec, two_point
-from revgeo.dynamics import GeodesicState, IntegratorConfig, integrate
-from revgeo.two_point import exp_map_rays, solve_two_point
+from revgeo.dynamics import (GeodesicState, IntegratorConfig, exp_map_rays,
+                             integrate)
+from revgeo.two_point import solve_two_point
 
 HALF_PERIOD = np.pi / np.sqrt(3.0)      # conjugate azimuth of the outer equator
 
@@ -139,6 +140,17 @@ def test_exp_map_rays_share_read_only_grids(ring):
 def test_exp_map_rays_rejects_no_samples(ring, samples):
     with pytest.raises(DomainError, match="sample"):
         exp_map_rays(ring, n_rays=3, samples=samples)
+
+
+@pytest.mark.parametrize("kwargs", [{"n_rays": 2.5}, {"samples": 2.5},
+                                    {"n_rays": "3"}, {"samples": None}])
+def test_exp_map_rays_rejects_non_integer_counts(ring, kwargs):
+    with pytest.raises(DomainError, match="integer"):
+        exp_map_rays(ring, **{"n_rays": 3, "samples": 10, **kwargs})
+
+
+def test_exp_map_rays_still_importable_from_two_point():
+    assert two_point.exp_map_rays is exp_map_rays
 
 
 @pytest.mark.parametrize("a,b,r1,r2,dtheta", [
