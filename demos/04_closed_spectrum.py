@@ -36,8 +36,10 @@ for entry in solved[:12]:
     print(f"{str(geo.label):>8} {deg:12.6f} {geo.length:12.6f} {res:10.2e}")
 
 # high-n unbound launch angles pile up just below the critical angle;
-# re-running the closure check there inherits the hyperbolic sensitivity
-# of the inner-equator passes, so residuals grow even at a correct root
+# the closure check runs the first half loop, to the inner-equator
+# crossing, and inherits the hyperbolic sensitivity of that approach, so
+# residuals grow even at a correct root; [1,5;1] reaches no crossing
+# within its run, and its residual is a lower bound
 print(f"beta_crit = {np.degrees(crit.beta_crit):.6f} deg")
 for label in ((3, 4, 1), (3, 5, 1), (1, 5, 1)):
     geo = next(e.geodesic for e in solved

@@ -14,9 +14,13 @@ bracketed once: a coarse brentq in the log of the distance to the branch's
 singular end (beta_crit on ring tori, where N approaches 0 logarithmically,
 and the apex beta0 = 0 elsewhere), then a polish in beta0.
 
-The same reduction places the self-intersections of a bound [m, n; 0]:
-its rising and falling passes meet where the orbit angle from the outer
-equator equals pi (n - 2l) / (2m), l = 1 .. n-1 (crossing_points).
+The flow is reversible: a bound [m, n; 0] orbit is mirror-symmetric about
+each turning meridian, an unbound [m, n; 1] one about each inner-equator
+crossing (Lamb & Roberts, Physica D 112 (1998) 1-39). A circuit of length L
+is k = 4m or 2m images of its piece up to the first mirror point, and closes
+exactly when that point lies at L/k and azimuth 2 pi n / k (verify_closure,
+refine_via_ode). The passes of [m, n; 0] meet where the orbit angle from
+the outer equator equals pi (n - 2l) / (2m), l = 1 .. n-1 (crossing_points).
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from ._solvers import brentq
-from .dynamics import (OUTER_EQUATOR, GeodesicState, IntegratorConfig,
-                       initial_state_from_angle, integrate)
+from .dynamics import (INNER_EQUATOR, TURNING_POINT, GeodesicState,
+                       IntegratorConfig, initial_state_from_angle, integrate)
 from .errors import (ConvergenceError, DomainError, InvalidParameterError,
                      NonexistentGeodesicError)
 from .integrals import (_w_of_beta0, affine_time, arc_length_bound_period,
@@ -213,18 +217,10 @@ def spectrum(spec: SurfaceSpec, m_max: int, n_max: int,
     """
     if spec.family is Family.SPHERE:
         return SpectrumResult(spec, (), "unsupported-family")
-    labels = []
-    if n_max >= 1:
-        for p in p_values:
-            labels.append(ClosedLabel(0, 1, p))
-    if m_max >= 1:
-        for p in p_values:
-            labels.append(ClosedLabel(1, 0, p))
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            if math.gcd(m, n) == 1:
-                for p in p_values:
-                    labels.append(ClosedLabel(m, n, p))
+    pairs = [(0, 1)] * (n_max >= 1) + [(1, 0)] * (m_max >= 1) + [
+        (m, n) for n in range(1, n_max + 1) for m in range(1, m_max + 1)
+        if math.gcd(m, n) == 1]
+    labels = [ClosedLabel(m, n, p) for m, n in pairs for p in p_values]
     entries = []
     for lab in labels:
         try:
@@ -237,40 +233,52 @@ def spectrum(spec: SurfaceSpec, m_max: int, n_max: int,
     return SpectrumResult(spec, tuple(entries))
 
 
-def _closure_start(spec, geo) -> GeodesicState:
-    if geo.beta0 is not None:
-        return initial_state_from_angle(spec, geo.beta0)
-    # inner equator: circle at chi = pi
-    r = np.pi * spec.b
-    return GeodesicState(r=r, theta=0.0, vr=0.0, vtheta=1.0 / spec.R(r))
+def _mirror_point(spec, lab, state0, length):
+    """(k, state, hit) at the first mirror point of the run from state0.
+
+    k = 4m and the turning point for p = 0, k = 2m and the inner-equator
+    crossing for p = 1, over (length / k) 1.02 + 0.1; if none comes within
+    it, hit is False and the span's end stands in. Equators: k = 4 at L/4.
+    """
+    k = 4 * lab.m if lab.p == 0 else 2 * lab.m
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13,
+                           max_lambda=length / k * 1.02 + 0.1 if k else length / 4.0)
+    trace = integrate(spec, state0, cfg)
+    if k == 0:
+        return 4, trace.final, True
+    events = trace.events_of(TURNING_POINT if lab.p == 0 else INNER_EQUATOR)
+    return k, (events[0].state if events else trace.final), bool(events)
 
 
 def verify_closure(spec: SurfaceSpec, geo: ClosedGeodesic) -> float:
-    """Integrate one full circuit and return the phase-space closure residual.
+    """Closure defect of one circuit, integrated to its first mirror point.
 
-    The residual is the Euclidean norm of (dr wrapped mod 2 pi b,
-    (a+b) dtheta wrapped mod 2 pi, dvr, (a+b) dvtheta) between the final and
-    initial states after arc length `geo.length` at unit speed.
+    With dl, dth its misses of arc length L/k (L = geo.length) and azimuth
+    2 pi n / k, the residual k hypot(vr0 dl, (a+b) (dth - vtheta0 dl)) is,
+    to first order, the norm of (dr, (a+b) dtheta, dvr, (a+b) dvtheta) from
+    launch to L, without k pieces' integration drift. Equators compare the
+    state at L/4 with the closed-form circle in that norm, times 4. With no
+    mirror point within (L/k) 1.02 + 0.1 (only unbound roots within 1e-13 of
+    beta_crit) the span's end stands in: a lower bound. Needs L > 0.
     """
-    state0 = _closure_start(spec, geo)
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=geo.length)
-    trace = integrate(spec, state0, cfg)
-    end = trace.final
-    two_pi_b = 2.0 * np.pi * spec.b
-    dr = end.r - state0.r
-    dr -= two_pi_b * np.round(dr / two_pi_b)
-    dth = end.theta - state0.theta
-    dth -= 2.0 * np.pi * np.round(dth / (2.0 * np.pi))
-    s = spec.a + spec.b
-    return float(np.sqrt(dr ** 2 + (s * dth) ** 2
-                         + (end.vr - state0.vr) ** 2
-                         + (s * (end.vtheta - state0.vtheta)) ** 2))
+    if not geo.length > 0.0:
+        raise DomainError(f"length must be positive, got {geo.length}")
+    lab, s = geo.label, spec.a + spec.b
+    state0 = (initial_state_from_angle(spec, geo.beta0) if geo.beta0 is not None
+              else GeodesicState(np.pi * spec.b, 0.0, 0.0, 1.0 / (spec.a - spec.b)))
+    k, end, _ = _mirror_point(spec, lab, state0, geo.length)
+    dth = end.theta - 2.0 * np.pi * lab.n / k
+    if lab.m == 0:
+        return k * math.hypot(end.r - state0.r, s * dth, end.vr,
+                              s * (end.vtheta - state0.vtheta))
+    dl = end.lam - geo.length / k
+    return k * math.hypot(state0.vr * dl, s * (dth - state0.vtheta * dl))
 
 
 @dataclass(frozen=True)
 class RefineResult:
     beta0: float
-    theta_mismatch: float
+    theta_mismatch: float          # circuit azimuth error, k (theta_ev - 2 pi n / k)
     iterations: int
     converged: bool                # False: stopped on a step below 1e-15
 
@@ -278,13 +286,13 @@ class RefineResult:
 def refine_via_ode(spec: SurfaceSpec, label, beta0: float) -> RefineResult:
     """Polish a launch angle by shooting the geodesic equations.
 
-    The defect is the azimuth error theta(lambda*) - 2 pi n measured when the
-    m-th radial period completes; a secant iteration drives it to zero. An
-    angle that is already a root is a fixed point and returns unchanged.
-    The iteration also stops when its step falls below 1e-15; if the
-    defect is then still 1e-12 or more, the result has converged = False.
-    Independent of the quadrature route, so agreement between the two is a
-    real cross-check rather than a tautology.
+    The defect is the circuit's azimuth error k (theta_ev - 2 pi n / k),
+    theta_ev the azimuth at the first mirror point, run for about 1/k of
+    the quadrature circuit length (ConvergenceError if none); a secant
+    drives it to zero. A root is a fixed point and returns unchanged. The
+    secant also stops on a step below 1e-15; if the defect is then 1e-12 or
+    more, converged = False. Independent of the quadrature route, so
+    agreement between the two is a real cross-check rather than a tautology.
     """
     lab = _as_label(label)
     m, n, p = lab.m, lab.n, lab.p
@@ -292,22 +300,14 @@ def refine_via_ode(spec: SurfaceSpec, label, beta0: float) -> RefineResult:
         raise DomainError("refinement needs radial motion; equators have none")
 
     def defect(beta):
-        if p == 0:
-            L_est = m * arc_length_bound_period(spec, beta)
-            need = 2 * m
-        else:
-            L_est = arc_length_unbound_loop(spec, beta, loops=m)
-            need = m
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13,
-                               max_lambda=1.05 * L_est + 1.0)
-        trace = integrate(spec, initial_state_from_angle(spec, beta), cfg)
-        outer = trace.events_of(OUTER_EQUATOR)
-        if len(outer) < need:
-            raise ConvergenceError(
-                f"only {len(outer)} equator passages captured, need {need}",
-                best=beta)
-        lam_star = outer[need - 1].lam
-        return float(trace.dense(lam_star)[1]) - 2.0 * np.pi * n
+        L_est = (m * arc_length_bound_period(spec, beta) if p == 0
+                 else arc_length_unbound_loop(spec, beta, loops=m))
+        k, end, hit = _mirror_point(spec, lab, initial_state_from_angle(spec, beta),
+                                    L_est)
+        if not hit:
+            raise ConvergenceError(f"no mirror point within arc length {end.lam}",
+                                   best=beta)
+        return k * (float(end.theta) - 2.0 * np.pi * n / k)
 
     # every iterate stays on the launch angle's own branch: a probe that
     # would reach or cross an edge (0, beta_crit, pi/2) steps halfway to it

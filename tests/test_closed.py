@@ -6,6 +6,7 @@ brute-force sign scan at the bottom of this file, and, for the crossing
 points, by the DOP853 trace and a 30-digit mpmath orbit angle.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from revgeo import (ClosedLabel, DomainError, InvalidParameterError,
-                    NonexistentGeodesicError, SurfaceSpec, closed, dynamics)
+from revgeo import (ClosedLabel, ConvergenceError, DomainError,
+                    InvalidParameterError, NonexistentGeodesicError, SurfaceSpec,
+                    closed, dynamics)
+from revgeo.cli import _closure_gate
 from revgeo.closed import (crossing_points, find_closed, precession_rate,
                            refine_via_ode, self_intersections, spectrum,
                            verify_closure)
@@ -136,7 +139,7 @@ def test_verify_closure(ring):
     assert verify_closure(ring, find_closed(ring, (1, 2, 0))) < 1e-8
     assert verify_closure(ring, find_closed(ring, (0, 1, 1))) < 1e-12
     # near-critical roots: dN/dbeta is steep, so a 1e-15 root error shows up
-    # as a closure residual around 1e-7; that is the honest floor here
+    # as a closure residual around 1e-8; that is the honest floor here
     assert verify_closure(ring, find_closed(ring, (3, 5, 1))) < 1e-6
 
 
@@ -169,6 +172,133 @@ def test_refine_stays_below_critical_angle():
 def test_refine_rejects_equators(ring):
     with pytest.raises(DomainError):
         refine_via_ode(ring, (0, 1, 0), np.pi / 2.0)
+
+
+# -- closure by symmetry against the full circuit ---------------------------
+
+PERTURBED_LABELS = [(1, 2, 0), (2, 3, 0), (1, 1, 1), (2, 3, 1), (3, 5, 1)]
+
+
+def _full_circuit_residual(spec, geo):
+    """Phase-space distance between launch and arc length geo.length:
+    (dr mod 2 pi b, (a+b) dtheta mod 2 pi, dvr, (a+b) dvtheta)."""
+    if geo.beta0 is None:           # inner equator: circle at chi = pi
+        r = np.pi * spec.b
+        state0 = dynamics.GeodesicState(r, 0.0, 0.0, 1.0 / spec.R(r))
+    else:
+        state0 = initial_state_from_angle(spec, geo.beta0)
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=geo.length)
+    end = integrate(spec, state0, cfg).final
+    two_pi_b, s = 2.0 * np.pi * spec.b, spec.a + spec.b
+    dr = end.r - state0.r
+    dr -= two_pi_b * np.round(dr / two_pi_b)
+    dth = end.theta - state0.theta
+    dth -= 2.0 * np.pi * np.round(dth / (2.0 * np.pi))
+    return math.hypot(dr, s * dth, end.vr - state0.vr, s * (end.vtheta - state0.vtheta))
+
+
+def _full_circuit_point(spec, lab, state0, length):
+    """Stand-in for closed._mirror_point: the state where the whole circuit
+    ends, at its 2m-th (bound) or m-th (unbound) outer-equator passage
+    within 1.05 length + 1, with k = 1, so that refine_via_ode's defect
+    becomes theta - 2 pi n over the full circuit."""
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=1.05 * length + 1.0)
+    outer = integrate(spec, state0, cfg).events_of(dynamics.OUTER_EQUATOR)
+    return 1, outer[(2 * lab.m if lab.p == 0 else lab.m) - 1].state, True
+
+
+def _full_circuit_refine(spec, label, beta0, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(closed, "_mirror_point", _full_circuit_point)
+        return refine_via_ode(spec, label, beta0)
+
+
+@pytest.mark.parametrize("ab", [(2.0, 1.0), (1.0, 1.0), (0.5, 1.0)])
+def test_symmetric_verdicts_match_full_circuit(ab):
+    spec = SurfaceSpec(*ab)
+    beta_crit = critical_angles(spec).beta_crit
+    for entry in spectrum(spec, 3, 3).solved():
+        geo = entry.geodesic
+        gate = _closure_gate(spec, beta_crit, geo)
+        new, full = verify_closure(spec, geo), _full_circuit_residual(spec, geo)
+        assert (new <= gate) == (full <= gate), (entry.label, new, full, gate)
+
+
+@pytest.mark.parametrize("label", PERTURBED_LABELS)
+@pytest.mark.parametrize("offset", [1e-9, 1e-8])
+def test_symmetric_residual_matches_full_circuit_off_the_root(ring, label, offset):
+    geo = find_closed(ring, label)
+    off = dataclasses.replace(geo, beta0=geo.beta0 + offset)
+    full = _full_circuit_residual(ring, off)
+    assert verify_closure(ring, off) == pytest.approx(full, rel=0.05)
+
+
+@pytest.mark.parametrize("label", PERTURBED_LABELS)
+def test_symmetric_refine_returns_the_full_circuit_root(ring, label, monkeypatch):
+    root = find_closed(ring, label).beta0
+    for start in (root, root + 1e-9):
+        res = refine_via_ode(ring, label, start)
+        oracle = _full_circuit_refine(ring, label, start, monkeypatch)
+        assert abs(res.beta0 - oracle.beta0) < 1e-12
+
+
+@pytest.mark.parametrize("label", [(1, 2, 0), (2, 3, 1)])
+def test_symmetric_checks_integrate_a_third_of_the_circuit(ring, label, monkeypatch):
+    geo = find_closed(ring, label)
+    calls = [0]
+    rhs = dynamics._rhs
+
+    def counted(*args):
+        calls[0] += 1
+        return rhs(*args)
+
+    def count(run):
+        calls[0] = 0
+        run()
+        return calls[0]
+
+    monkeypatch.setattr(dynamics, "_rhs", counted)
+    assert count(lambda: verify_closure(ring, geo)) <= count(
+        lambda: _full_circuit_residual(ring, geo)) / 3
+    assert count(lambda: refine_via_ode(ring, label, geo.beta0)) <= count(
+        lambda: _full_circuit_refine(ring, label, geo.beta0, monkeypatch)) / 3
+
+
+def test_verify_closure_on_equators(ring):
+    for label in ((0, 1, 0), (0, 1, 1)):
+        geo = find_closed(ring, label)
+        assert verify_closure(ring, geo) < 1e-12
+        # a circle of the wrong length does not close
+        assert verify_closure(ring, dataclasses.replace(geo, length=0.9 * geo.length)) > 1.0
+
+
+def test_verify_closure_without_a_mirror_point(ring):
+    # [1,5;1] lies 2.8e-14 below beta_crit: its first inner-equator crossing
+    # comes after the span, whose end stands in, so the residual is a lower
+    # bound, here still inside the CLI gate
+    geo = find_closed(ring, (1, 5, 1))
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13,
+                           max_lambda=geo.length / 2 * 1.02 + 0.1)
+    trace = integrate(ring, initial_state_from_angle(ring, geo.beta0), cfg)
+    assert trace.events_of(dynamics.INNER_EQUATOR) == []
+    res = verify_closure(ring, geo)
+    assert 1.0 < res <= _full_circuit_residual(ring, geo)
+    assert res <= _closure_gate(ring, critical_angles(ring).beta_crit, geo)
+
+
+@pytest.mark.parametrize("length", [-5.0, 0.0, math.nan])
+def test_verify_closure_rejects_non_positive_length(ring, length):
+    geo = dataclasses.replace(find_closed(ring, (1, 2, 0)), length=length)
+    with pytest.raises(DomainError, match="length"):
+        verify_closure(ring, geo)
+
+
+def test_refine_raises_when_a_probe_misses_the_mirror_point():
+    # this [1,3;1] root lies 2.6e-14 below beta_crit; its first half loop
+    # outlasts (L/2) 1.02 + 0.1
+    spec = SurfaceSpec(2.179180451235539, 0.5562270463531899)
+    with pytest.raises(ConvergenceError):
+        refine_via_ode(spec, (1, 3, 1), 0.6351685623049809)
 
 
 def test_precession(ring):
