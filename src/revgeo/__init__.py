@@ -20,8 +20,8 @@ import importlib
 _LAYERS = {
     "central_force": ("CircularOrbit", "ForceParams", "OrbitClass", "PlaneOrbit",
                       "apsidal_angle", "circular_radii", "classify_orbit",
-                      "epicyclic_frequency", "integrate_orbit",
-                      "perihelion_precession", "total_potential"),
+                      "integrate_orbit", "perihelion_precession",
+                      "total_potential"),
     "closed": ("ClosedGeodesic", "ClosedLabel", "CrossingRadius",
                "PrecessionData", "RefineResult", "SelfIntersection",
                "SpectrumEntry", "SpectrumResult", "crossing_points",
@@ -34,7 +34,7 @@ _LAYERS = {
     "errors": ("ConvergenceError", "DomainError", "ForbiddenRegionError",
                "IntegrationError", "InvalidParameterError",
                "NonexistentGeodesicError", "NoSolutionError", "RevgeoError",
-               "SingularAxisError", "UnstableOrbitError"),
+               "SingularAxisError"),
     "flat_torus": ("FlatEntry", "flat_lattice", "flat_length", "flat_segments"),
     "integrals": ("FrequencyBranch", "affine_time",
                   "arc_length_bound_period", "arc_length_unbound_loop",

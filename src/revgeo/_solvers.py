@@ -7,7 +7,10 @@ ODEs I, II.5-II.6). brentq is Brent's method for a bracketed root
 
 Both repeat scipy's code paths operation for operation, in the same order
 and with the same numpy calls: solve_ivp(method="DOP853",
-dense_output=True) with its OdeSolution, and scipy.optimize.brentq. Their
+dense_output=True) with its OdeSolution, and scipy.optimize.brentq.
+dop853 also repeats solve_ivp's rule for one terminal event of direction
+-1: the step on which the event function goes from >= 0 to <= 0 is cut at
+the event's root, found by brentq on that step's interpolant. Their
 steps, states, dense values and roots are therefore bit-identical to
 scipy's, while importing neither scipy.integrate nor scipy.optimize.
 """
@@ -225,6 +228,7 @@ _EPS = np.finfo(float).eps
 
 SUCCESS = "The solver successfully reached the end of the integration interval."
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+EVENT = "A termination event occurred."
 
 
 def _rms(x):
@@ -332,15 +336,22 @@ class OdeRun:
     dense: "DenseOutput"
     success: bool
     message: str
+    t_event: float | None = None    # the terminal event's root, where the run ended
 
 
-def dop853(fun, t0, t_bound, y0, rtol, atol) -> OdeRun:
+def dop853(fun, t0, t_bound, y0, rtol, atol, event=None) -> OdeRun:
     """Integrate y' = fun(t, y) from t0 to t_bound, forward or backward.
 
     A zero span takes one step of length zero, as scipy does: t = [t0, t0],
     two equal state columns, and a constant dense output. If the step size
     falls below ten spacings of t, the run stops with success False and the
     steps accepted so far.
+
+    The run ends with message EVENT on the first step where event(t, y)
+    goes from >= 0 to <= 0, at the root t_event of event on the step's
+    interpolant (brentq to 4 eps): its last point is (t_event, interpolated
+    state), and the step keeps its full interpolant. A root at the step's
+    start repeats that time, as solve_ivp without dense output does.
     """
     def rhs(t, y):
         return np.asarray(fun(t, y), dtype=float)
@@ -358,18 +369,31 @@ def dop853(fun, t0, t_bound, y0, rtol, atol) -> OdeRun:
     K_ext = np.empty((N_STAGES_EXTENDED, y.size))
     K = K_ext[:N_STAGES + 1]
 
-    ts, ys, Fs = [t0], [y0], []
-    t, success, message = t0, True, SUCCESS
+    ts, ys, hs, Fs = [t0], [y0], [], []
+    t, success, message, t_event = t0, True, SUCCESS, None
+    g = None if event is None else event(t0, y)
     if t == t_bound:
         ts.append(t)
         ys.append(y)
-    while t != t_bound:
+        if g == 0:                      # the zero step's own root is t0
+            t_event, message = t0, EVENT
+    while t != t_bound and t_event is None:
         got = _step(rhs, t, y, f, h_abs, direction, t_bound, rtol, atol, K)
         if got is None:
             success, message = False, TOO_SMALL_STEP
             break
         t_new, y_new, f, h, h_abs = got
         Fs.append(_dense_coefficients(rhs, t, y, y_new, f, h, K_ext))
+        hs.append(h)
+        if g is not None:
+            g_new = event(t_new, y_new)
+            if g >= 0 and g_new <= 0:
+                cut = DenseOutput(np.array([t, t_new]), np.array([y, y_new]).T,
+                                  np.array([h]), Fs[-1][None])
+                t_event = brentq(lambda s: event(s, cut(s)), t, t_new,
+                                 xtol=4 * _EPS, rtol=4 * _EPS)
+                t_new, y_new, message = t_event, cut(t_event), EVENT
+            g = g_new
         t, y = t_new, y_new
         ts.append(t)
         ys.append(y)
@@ -378,7 +402,8 @@ def dop853(fun, t0, t_bound, y0, rtol, atol) -> OdeRun:
     ys = np.vstack(ys).T
     F = np.array(Fs).reshape(len(Fs), INTERPOLATOR_POWER, y.size)
     constant = y if t0 == t_bound else None
-    return OdeRun(ts, ys, DenseOutput(ts, ys, F, constant), success, message)
+    dense = DenseOutput(ts, ys, np.array(hs), F, constant)
+    return OdeRun(ts, ys, dense, success, message, t_event)
 
 
 # -- dense output -----------------------------------------------------------------
@@ -410,17 +435,18 @@ class DenseOutput:
     """States at any t of a dop853 run, from its stacked step coefficients.
 
     Step k runs from ts[k] to ts[k + 1], and F[k] holds its seven
-    interpolation rows. A time is assigned to a step by OdeSolution's rule:
+    interpolation rows over its full length h[k]: a last step cut at an
+    event ends short of it. A time is assigned to a step by OdeSolution's rule:
     searchsorted on the ascending times, side "left" for a forward run and
     "right" for a backward one, clipped to the first and last steps. So a
     step's first point, shared with the step before, is evaluated on that
     earlier step. A zero-span run's output is its constant state.
     """
 
-    def __init__(self, ts, ys, F, constant=None):
+    def __init__(self, ts, ys, h, F, constant=None):
         self.F = F
         self.t_old = ts[:-1]
-        self.h = ts[1:] - ts[:-1]
+        self.h = h
         self.y_old = ys[:, :-1].T
         self.constant = constant
         self._ascending = ts[-1] >= ts[0]

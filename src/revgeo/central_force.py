@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, InvalidParameterError, UnstableOrbitError,
-                     _require_finite)
+from .errors import DomainError, InvalidParameterError, _require_finite
 
 _RTOL = 1e-12
 
@@ -103,16 +102,6 @@ def circular_radii(params: ForceParams, ell: float) -> tuple:
         out.append(CircularOrbit(float(r), bool(curvature > 0.0),
                                  float(total_potential(params, ell, r))))
     return tuple(out)
-
-
-def epicyclic_frequency(params: ForceParams, ell: float, r: float) -> float:
-    """Radial oscillation frequency kappa = sqrt(U'') about a circular orbit."""
-    k1, k2 = params.k1, params.k2
-    upp = 3.0 * ell ** 2 / r ** 4 - 2.0 * k1 / r ** 3 - 12.0 * k2 / r ** 5
-    if upp <= 0.0:
-        raise UnstableOrbitError(
-            f"U''({r}) = {upp} <= 0: no stable radial oscillation here")
-    return float(np.sqrt(upp))
 
 
 def classify_orbit(params: ForceParams, ell: float, E: float) -> tuple:
@@ -222,22 +211,22 @@ class PlaneOrbit:
 
 
 def integrate_orbit(params: ForceParams, ell: float, r0: float, vr0: float,
-                    t_max: float, theta0: float = 0.0,
-                    rel_tol: float = 1e-10, abs_tol: float = 1e-12,
-                    floor_factor: float = 1e-3) -> PlaneOrbit:
-    """Integrate the planar orbit; terminates as captured at r = floor_factor r0.
+                    t_max: float) -> PlaneOrbit:
+    """Integrate the planar orbit from theta = 0; terminates as captured at
+    r = 1e-3 r0.
 
-    Three decades of infall are enough to flag a capture; pushing the floor
-    much lower stalls the integrator against the r^-4 force growth. e_drift
-    is the energy error relative to the local energy scale, so plunges report
-    integrator quality instead of raw cancellation noise.
+    DOP853 runs at rtol 1e-10, atol 1e-12. Three decades of infall are
+    enough to flag a capture; pushing the floor much lower stalls the
+    integrator against the r^-4 force growth. e_drift is the energy error
+    relative to the local energy scale, so plunges report integrator
+    quality instead of raw cancellation noise.
     """
-    _require_finite(ell=ell, r0=r0, vr0=vr0, t_max=t_max, theta0=theta0)
+    _require_finite(ell=ell, r0=r0, vr0=vr0, t_max=t_max)
     if r0 <= 0.0:
         raise DomainError("need r0 > 0")
-    from scipy.integrate import solve_ivp
+    from ._solvers import dop853
     k1, k2 = params.k1, params.k2
-    r_floor = floor_factor * r0
+    r_floor = 1e-3 * r0
 
     def rhs(t, y):
         r = y[0]
@@ -245,19 +234,12 @@ def integrate_orbit(params: ForceParams, ell: float, r0: float, vr0: float,
                 ell / r ** 2,
                 ell ** 2 / r ** 3 - k1 / r ** 2 - 3.0 * k2 / r ** 4]
 
-    def hit_floor(t, y):
-        return y[0] - r_floor
-    hit_floor.terminal = True
-    hit_floor.direction = -1
-
-    sol = solve_ivp(rhs, (0.0, t_max), [r0, theta0, vr0], method="DOP853",
-                    rtol=rel_tol, atol=abs_tol, events=hit_floor,
-                    dense_output=False)
+    run = dop853(rhs, 0.0, t_max, [r0, 0.0, vr0], 1e-10, 1e-12,
+                 event=lambda t, y: y[0] - r_floor)
     E0 = 0.5 * vr0 ** 2 + total_potential(params, ell, r0)
-    kinetic = 0.5 * sol.y[2] ** 2
-    V_path = total_potential(params, ell, sol.y[0])
+    kinetic = 0.5 * run.y[2] ** 2
+    V_path = total_potential(params, ell, run.y[0])
     scale = np.maximum(np.maximum(abs(E0), kinetic + np.abs(V_path)), 1e-300)
-    drift = (float(np.max(np.abs(kinetic + V_path - E0) / scale))
-             if sol.y.shape[1] else 0.0)
-    captured = bool(sol.t_events[0].size)
-    return PlaneOrbit(sol.t, sol.y[0], sol.y[1], sol.y[2], captured, drift)
+    drift = float(np.max(np.abs(kinetic + V_path - E0) / scale))
+    return PlaneOrbit(run.t, run.y[0], run.y[1], run.y[2],
+                      run.t_event is not None, drift)

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 # the layers each subcommand runs are imported inside its runner, so a
-# command loads scipy only if it runs quadrature or a planar orbit
+# command loads scipy only if it runs quadrature
 from .errors import (ConvergenceError, DomainError, ForbiddenRegionError,
                      IntegrationError, InvalidParameterError,
                      NonexistentGeodesicError, NoSolutionError,

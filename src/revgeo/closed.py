@@ -280,7 +280,7 @@ class RefineResult:
     beta0: float
     theta_mismatch: float          # circuit azimuth error, k (theta_ev - 2 pi n / k)
     iterations: int
-    converged: bool                # False: stopped on a step below 1e-15
+    converged: bool                # False: stopped on a step below 1e-15, not k 1e-12
 
 
 def refine_via_ode(spec: SurfaceSpec, label, beta0: float) -> RefineResult:
@@ -289,15 +289,17 @@ def refine_via_ode(spec: SurfaceSpec, label, beta0: float) -> RefineResult:
     The defect is the circuit's azimuth error k (theta_ev - 2 pi n / k),
     theta_ev the azimuth at the first mirror point, run for about 1/k of
     the quadrature circuit length (ConvergenceError if none); a secant
-    drives it to zero. A root is a fixed point and returns unchanged. The
-    secant also stops on a step below 1e-15; if the defect is then 1e-12 or
-    more, converged = False. Independent of the quadrature route, so
-    agreement between the two is a real cross-check rather than a tautology.
+    drives it below k 1e-12, since k scales the piece's integration noise
+    too. A start within that returns unchanged. The secant also stops on a
+    step below 1e-15; if the defect is then k 1e-12 or more, converged =
+    False. Independent of the quadrature route, so agreement between the
+    two is a real cross-check rather than a tautology.
     """
     lab = _as_label(label)
     m, n, p = lab.m, lab.n, lab.p
     if m < 1:
         raise DomainError("refinement needs radial motion; equators have none")
+    stop = (4 * m if p == 0 else 2 * m) * 1e-12
 
     def defect(beta):
         L_est = (m * arc_length_bound_period(spec, beta) if p == 0
@@ -323,7 +325,7 @@ def refine_via_ode(spec: SurfaceSpec, label, beta0: float) -> RefineResult:
 
     x0 = float(beta0)
     f0 = defect(x0)
-    if abs(f0) < 1e-12:
+    if abs(f0) < stop:
         return RefineResult(x0, f0, 0, True)
     x1 = on_branch(x0, x0 + np.copysign(1e-7 * max(abs(x0), 1e-2), -f0))
     f1 = defect(x1)
@@ -333,8 +335,8 @@ def refine_via_ode(spec: SurfaceSpec, label, beta0: float) -> RefineResult:
         x2 = on_branch(x1, x1 - f1 * (x1 - x0) / (f1 - f0))
         x0, f0, x1 = x1, f1, x2
         f1 = defect(x1)
-        if abs(f1) < 1e-12 or abs(x1 - x0) < 1e-15:
-            return RefineResult(x1, f1, k, abs(f1) < 1e-12)
+        if abs(f1) < stop or abs(x1 - x0) < 1e-15:
+            return RefineResult(x1, f1, k, abs(f1) < stop)
     raise ConvergenceError("secant refinement stalled", best=x1)
 
 

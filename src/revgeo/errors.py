@@ -55,7 +55,3 @@ class NoSolutionError(RevgeoError):
     def __init__(self, message, branches_searched=()):
         super().__init__(message)
         self.branches_searched = tuple(branches_searched)
-
-
-class UnstableOrbitError(RevgeoError):
-    """Operation requires a stable circular orbit."""

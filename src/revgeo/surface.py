@@ -66,14 +66,6 @@ class SurfaceSpec:
         """Distance from the symmetry axis at radial arc length r."""
         return self.a + self.b * np.cos(r / self.b)
 
-    def Rprime(self, r):
-        """dR/dr = -sin(r/b)."""
-        return -np.sin(r / self.b)
-
-    def Zprime(self, r):
-        """dZ/dr = cos(r/b)."""
-        return np.cos(r / self.b)
-
     def Z(self, r):
         """Height above the equatorial plane."""
         return self.b * np.sin(r / self.b)

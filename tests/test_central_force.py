@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from revgeo import (DomainError, InvalidParameterError, UnstableOrbitError,
-                    central_force)
+from revgeo import DomainError, InvalidParameterError, central_force
 from revgeo.central_force import (ForceParams, OrbitClass, apsidal_angle,
                                   circular_radii, classify_orbit,
-                                  epicyclic_frequency, integrate_orbit,
-                                  perihelion_precession, total_potential)
+                                  integrate_orbit, perihelion_precession,
+                                  total_potential)
 
 KEPLER = ForceParams(1.0, 0.0)
 CORRECTED = ForceParams(1.0, 0.02)
@@ -99,16 +98,6 @@ def test_circular_radii_with_barrier():
     assert outer.energy == pytest.approx(-0.5220518383838513, rel=1e-12)
     # barrier swallowed when ell^4 < 12 k1 k2
     assert circular_radii(ForceParams(1.0, 1.0), 1.0) == ()
-
-
-def test_epicyclic_frequency():
-    outer = circular_radii(CORRECTED, 1.0)[1]
-    kappa = epicyclic_frequency(CORRECTED, 1.0, outer.r)
-    assert kappa == pytest.approx(1.0659918452944077, rel=1e-12)
-    # Kepler: kappa equals the orbital frequency ell / r^2 (closed ellipses)
-    assert epicyclic_frequency(KEPLER, 1.0, 1.0) == pytest.approx(1.0)
-    with pytest.raises(UnstableOrbitError):
-        epicyclic_frequency(CORRECTED, 1.0, circular_radii(CORRECTED, 1.0)[0].r)
 
 
 def test_classification_table():

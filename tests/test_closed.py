@@ -169,6 +169,17 @@ def test_refine_stays_below_critical_angle():
     assert theta_frequency_unbound(spec, res.beta0 * (1.0 - 1e-9)) > 1.0 / 3.0
 
 
+def test_refine_stop_scales_with_the_mirror_count():
+    # k = 12 multiplies the first piece's integration noise: the quadrature
+    # root (N - 3/2 = -2.2e-16) reads a defect near 1.2e-12, inside 12e-12
+    spec = SurfaceSpec(1.1174844360693417, 0.8552157598941496)
+    root = 1.1927829521299245
+    res = refine_via_ode(spec, (3, 2, 0), root)
+    assert res.beta0 == root
+    assert res.converged and res.iterations == 0
+    assert abs(res.theta_mismatch) < 12e-12
+
+
 def test_refine_rejects_equators(ring):
     with pytest.raises(DomainError):
         refine_via_ode(ring, (0, 1, 0), np.pi / 2.0)

@@ -1,9 +1,10 @@
 """The package surface loads its layers on first use.
 
 `import revgeo`, `import revgeo.dynamics` and the CLI subcommands that need
-no quadrature (flat, potential, kepler without --t-max, and geodesic and
-expmap, which run the owned DOP853 integrator) must not import scipy, whose
-import costs several times the work of those commands. `import revgeo.cli`
+no quadrature (flat, potential, kepler, and geodesic and expmap, which like
+kepler --t-max run the owned DOP853 integrator) must not import scipy, whose
+import costs several times the work of those commands; only integrals
+imports it, for quad. `import revgeo.cli`
 loads only the modules pinned below, since every CLI process pays for them.
 The public names are the pinned list below.
 """
@@ -31,13 +32,13 @@ PUBLIC = [
     'PlaneOrbit', 'PrecessionData', 'RayPath',
     'RefineResult', 'RevgeoError', 'SelfIntersection', 'SingularAxisError',
     'SpectrumEntry', 'SpectrumResult', 'SurfaceSpec', 'TURNING_POINT',
-    'TurningPoints', 'TwoPointResult', 'UnstableOrbitError', 'affine_time',
+    'TurningPoints', 'TwoPointResult', 'affine_time',
     'apsidal_angle', 'arc_length_bound_period', 'arc_length_unbound_loop',
     'central_force', 'chi_sup', 'circular_radii',
     'classify', 'classify_orbit', 'closed', 'conserved', 'critical_angles',
     'critical_divergence_estimate', 'crossing_points', 'dynamics',
     'effective_potential', 'embed',
-    'epicyclic_frequency', 'errors', 'exp_map_rays', 'find_closed',
+    'errors', 'exp_map_rays', 'find_closed',
     'flat_lattice', 'flat_length', 'flat_segments', 'flat_torus',
     'frequency_branch', 'gaussian_curvature',
     'initial_state_from_angle', 'integrals', 'integrate', 'integrate_orbit',
@@ -78,6 +79,10 @@ SCIPY_FREE = [
     ["potential", "--a", "1", "--b", "2", "--ell", "0.5", "--format", "svg"],
     ["kepler", "--k1", "1", "--ell", "1", "--E", "-0.3"],
     ["kepler", "--k1", "1", "--k2", "1e-4", "--ell", "1", "--E", "-0.4"],
+    ["kepler", "--k1", "1", "--k2", "1e-4", "--ell", "1", "--E", "-0.4",
+     "--r0", "1.2", "--t-max", "200"],
+    ["kepler", "--k1", "1", "--k2", "0.02", "--ell", "1", "--r0", "0.01",
+     "--vr0", "-0.1", "--t-max", "50"],
     ["geodesic", "--beta0", "0.5", "--lambda-max", "40", "--samples", "400"],
     ["expmap", "--rays", "6", "--lambda-max", "12", "--samples", "60"],
     ["expmap", "--rays", "24", "--lambda-max", "20", "--format", "svg"],
@@ -98,7 +103,7 @@ def test_scipy_free_commands_import_no_scipy():
     assert report["cli_loads"] == CLI_LOADS
 
 
-def test_only_quadrature_and_planar_orbits_import_scipy():
+def test_only_quadrature_imports_scipy():
     imports = {}
     for path in sorted((SRC / "revgeo").glob("*.py")):
         lines = [line.strip() for line in path.read_text().splitlines()
@@ -106,7 +111,6 @@ def test_only_quadrature_and_planar_orbits_import_scipy():
         if lines:
             imports[path.stem] = lines
     assert imports == {
-        "central_force": ["from scipy.integrate import solve_ivp"],
         "integrals": ["from scipy.integrate import IntegrationWarning, quad"],
     }
 

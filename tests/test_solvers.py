@@ -1,7 +1,8 @@
 """The owned DOP853 and brentq against scipy, bit for bit.
 
-_solvers repeats scipy's solve_ivp(method="DOP853", dense_output=True),
-OdeSolution and scipy.optimize.brentq operation for operation, so every
+_solvers repeats scipy's solve_ivp(method="DOP853", dense_output=True)
+with its terminal-event rule, OdeSolution and scipy.optimize.brentq
+operation for operation, so every
 number here is compared with ==, never with a tolerance. scipy is the
 oracle: it is imported by these tests only.
 """
@@ -16,7 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 from scipy.optimize import brentq as scipy_brentq
 
-from revgeo import _solvers, dynamics
+from revgeo import _solvers, central_force, dynamics
 from revgeo.dynamics import IntegratorConfig, initial_state_from_angle, integrate
 from revgeo.errors import IntegrationError
 from revgeo.surface import SurfaceSpec
@@ -177,6 +178,132 @@ def test_too_small_rtol_is_raised_with_a_warning():
         sol = solve_ivp(decay, (0.0, 1.0), [1.0], method="DOP853", rtol=1e-16,
                         atol=1e-20)
     assert np.array_equal(run.t, sol.t) and np.array_equal(run.y, sol.y)
+
+
+# -- the terminal event ------------------------------------------------------------
+
+def _oscillator(t, y):
+    return np.array([y[1], -y[0]])
+
+
+# (event level c of g = s (y[0] - c), sign s, span): y[0] = cos t from y0 = (1, 0)
+EVENT_CASES = {
+    "down": (0.3, 1.0, 10.0),
+    "none": (-2.0, 1.0, 10.0),
+    "up-ignored": (0.3, -1.0, 4.0),        # 0.3 - cos t rises through 0 at 1.27
+    "up-then-down": (0.3, -1.0, 10.0),     # ... and falls through it at 5.02
+    "first-step": (1.0 - 1e-6, 1.0, 10.0),
+    "at-start": (1.0, 1.0, 10.0),          # g(t0) = 0: the root is t0 itself
+    "backward": (0.3, 1.0, -10.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_CASES))
+def test_dop853_event_equals_solve_ivp(case):
+    level, sign, span = EVENT_CASES[case]
+
+    def g(t, y):
+        return sign * (y[0] - level)
+    g.terminal, g.direction = True, -1
+
+    calls = [0]
+
+    def counted(t, y):
+        calls[0] += 1
+        return _oscillator(t, y)
+
+    y0 = np.array([1.0, 0.0])
+    run = _solvers.dop853(counted, 0.0, span, y0, 1e-10, 1e-12, event=g)
+    for dense_output in (False, True):
+        sol = solve_ivp(_oscillator, (0.0, span), y0, method="DOP853", rtol=1e-10,
+                        atol=1e-12, events=g, dense_output=dense_output)
+        assert np.array_equal(run.t, sol.t) and np.array_equal(run.y, sol.y)
+        assert (run.success, run.message) == (sol.success, sol.message)
+    assert calls[0] == sol.nfev         # dop853 always forms the dense output
+    captured = sol.t_events[0]
+    assert (run.t_event is None) == (captured.size == 0)
+    if run.t_event is not None:
+        assert run.t_event == captured[0] == run.t[-1]
+        assert np.array_equal(run.y[:, -1], sol.y_events[0][0])
+        t_old = run.t[-2]
+        cut = np.linspace(t_old, run.t_event, 41)
+        assert np.array_equal(run.dense(cut), sol.sol(cut))
+        for t in cut[::8]:
+            assert np.array_equal(run.dense(t), sol.sol(t))
+        # the cut step keeps the interpolant of its full length
+        assert run.dense.h[-1] == sol.sol.interpolants[-1].h
+    if case == "first-step":
+        assert len(run.t) == 2
+    if case == "at-start":
+        assert run.t.tolist() == [0.0, 0.0]
+    if case in ("none", "up-ignored"):
+        assert run.t[-1] == span
+
+
+def test_dop853_event_on_a_zero_span():
+    def g(t, y):
+        return y[0] - 1.0
+    g.terminal, g.direction = True, -1
+
+    y0 = np.array([1.0, 0.0])
+    run = _solvers.dop853(_oscillator, 0.0, 0.0, y0, 1e-10, 1e-12, event=g)
+    sol = solve_ivp(_oscillator, (0.0, 0.0), y0, method="DOP853", rtol=1e-10,
+                    atol=1e-12, events=g)
+    assert np.array_equal(run.t, sol.t) and np.array_equal(run.y, sol.y)
+    assert run.t_event == sol.t_events[0][0] == 0.0
+
+
+def _solve_ivp_orbit(params, ell, r0, vr0, t_max):
+    """integrate_orbit as it ran on scipy's solve_ivp, with its defaults
+    theta0 = 0, rtol 1e-10, atol 1e-12 and capture floor 1e-3 r0."""
+    k1, k2 = params.k1, params.k2
+    r_floor = 1e-3 * r0
+
+    def rhs(t, y):
+        r = y[0]
+        return [y[2],
+                ell / r ** 2,
+                ell ** 2 / r ** 3 - k1 / r ** 2 - 3.0 * k2 / r ** 4]
+
+    def hit_floor(t, y):
+        return y[0] - r_floor
+    hit_floor.terminal = True
+    hit_floor.direction = -1
+
+    sol = solve_ivp(rhs, (0.0, t_max), [r0, 0.0, vr0], method="DOP853",
+                    rtol=1e-10, atol=1e-12, events=hit_floor, dense_output=False)
+    E0 = 0.5 * vr0 ** 2 + central_force.total_potential(params, ell, r0)
+    kinetic = 0.5 * sol.y[2] ** 2
+    V_path = central_force.total_potential(params, ell, sol.y[0])
+    scale = np.maximum(np.maximum(abs(E0), kinetic + np.abs(V_path)), 1e-300)
+    drift = (float(np.max(np.abs(kinetic + V_path - E0) / scale))
+             if sol.y.shape[1] else 0.0)
+    return central_force.PlaneOrbit(sol.t, sol.y[0], sol.y[1], sol.y[2],
+                                    bool(sol.t_events[0].size), drift)
+
+
+def _orbit_cases(count=48):
+    rng = np.random.default_rng(19)
+    for i in range(count):
+        k2 = 0.0 if i % 3 == 0 else rng.uniform(1e-4, 0.05)
+        # every other case starts deep inside, where k2 > 0 mostly plunges
+        r0 = rng.uniform(0.005, 0.1) if i % 2 else rng.uniform(0.5, 3.0)
+        t_max = (0.0, -rng.uniform(1.0, 40.0), rng.uniform(1.0, 80.0))[i % 6 // 2]
+        yield (central_force.ForceParams(rng.uniform(0.2, 2.0), k2),
+               rng.uniform(0.3, 1.5), r0, rng.uniform(-0.8, 0.8), t_max)
+
+
+def test_integrate_orbit_equals_solve_ivp():
+    captures = spans = 0
+    for args in _orbit_cases():
+        got = central_force.integrate_orbit(*args)
+        want = _solve_ivp_orbit(*args)
+        for name in ("t", "r", "theta", "vr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (name, args)
+        assert (got.captured, got.e_drift) == (want.captured, want.e_drift), args
+        captures += got.captured
+        spans += args[-1] <= 0.0
+    assert captures >= 8 and spans >= 16
 
 
 # -- brentq ----------------------------------------------------------------------

@@ -51,13 +51,6 @@ def test_profile_ring():
     assert spec.Z(np.pi / 2.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_profile_unit_speed():
-    # r is arc length along the meridian: R'^2 + Z'^2 = 1
-    spec = SurfaceSpec(1.7, 0.6)
-    r = np.linspace(-5.0, 5.0, 113)
-    assert np.allclose(spec.Rprime(r) ** 2 + spec.Zprime(r) ** 2, 1.0, atol=1e-13)
-
-
 def test_gaussian_curvature_signs():
     spec = SurfaceSpec(2.0, 1.0)
     assert gaussian_curvature(spec, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-13)
