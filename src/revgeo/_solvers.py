@@ -5,14 +5,19 @@ Prince with its order-7 dense output (Hairer, Norsett & Wanner, Solving
 ODEs I, II.5-II.6). brentq is Brent's method for a bracketed root
 (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
 
-Both repeat scipy's code paths operation for operation, in the same order
-and with the same numpy calls: solve_ivp(method="DOP853",
-dense_output=True) with its OdeSolution, and scipy.optimize.brentq.
-dop853 also repeats solve_ivp's rule for one terminal event of direction
--1: the step on which the event function goes from >= 0 to <= 0 is cut at
-the event's root, found by brentq on that step's interpolant. Their
-steps, states, dense values and roots are therefore bit-identical to
-scipy's, while importing neither scipy.integrate nor scipy.optimize.
+Both repeat scipy's arithmetic operation for operation, in the same order
+and with the same numpy reductions: solve_ivp(method="DOP853") with its
+OdeSolution, and scipy.optimize.brentq. dop853 also repeats solve_ivp's
+rule for one terminal event of direction -1: the step on which the event
+function goes from >= 0 to <= 0 is cut at the event's root, found by
+brentq on that step's interpolant. Their steps, states, dense values and
+roots are therefore bit-identical to scipy's, while importing neither
+scipy.integrate nor scipy.optimize.
+
+The right-hand side fun(t, y) may return any length-n sequence of floats
+(a tuple, a list or an array): each stage writes it straight into its row
+of the stage array. The dense output is optional, as in solve_ivp; without
+it only a step cut by the event forms its interpolant.
 """
 
 from __future__ import annotations
@@ -218,6 +223,10 @@ D[3, 13] = 0.96324553959188282948394950600e+2
 D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
+# row s of A up to its diagonal, and C as floats: what the stage loops read
+_A_ROWS = [A[s, :s] for s in range(N_STAGES_EXTENDED)]
+_C = C.tolist()
+
 # -- step-size control -----------------------------------------------------------
 
 SAFETY = 0.9
@@ -249,7 +258,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    f1 = np.asarray(fun(t0 + h0 * direction, y1), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -258,16 +267,20 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _error_norm(K, h, scale):
-    """The DOP853 error estimate: the order-5 error damped by the order-3 one."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+def _error_norm(KT, h, scale):
+    """The DOP853 error estimate: the order-5 error damped by the order-3 one.
+
+    KT is the transposed stage array. The squared norms are
+    np.linalg.norm(e) ** 2 as that computes them for a real 1-d e.
+    """
+    err5 = np.dot(KT, E5) / scale
+    err3 = np.dot(KT, E3) / scale
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
 def _step(fun, t, y, f, h_abs, direction, t_bound, rtol, atol, K):
@@ -277,7 +290,8 @@ def _step(fun, t, y, f, h_abs, direction, t_bound, rtol, atol, K):
     size falls below ten spacings of t. K (13 rows) holds the stages of
     the accepted step on return.
     """
-    min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+    KT = K.T
     if h_abs < min_step:
         h_abs = min_step
     rejected = False
@@ -289,18 +303,17 @@ def _step(fun, t, y, f, h_abs, direction, t_bound, rtol, atol, K):
         if direction * (t_new - t_bound) > 0:
             t_new = t_bound
         h = t_new - t
-        h_abs = np.abs(h)
+        h_abs = abs(h)
 
         K[0] = f
         for s in range(1, N_STAGES):
-            dy = np.dot(K[:s].T, A[s, :s]) * h
-            K[s] = fun(t + C[s] * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, B)
-        f_new = fun(t + h, y_new)
-        K[-1] = f_new
+            dy = np.dot(KT[:, :s], _A_ROWS[s]) * h
+            K[s] = fun(t + _C[s] * h, y + dy)
+        y_new = y + h * np.dot(KT[:, :-1], B)
+        K[-1] = fun(t + h, y_new)
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _error_norm(K, h, scale)
+        error_norm = _error_norm(KT, h, scale)
         if error_norm < 1:
             if error_norm == 0:
                 factor = MAX_FACTOR
@@ -308,7 +321,8 @@ def _step(fun, t, y, f, h_abs, direction, t_bound, rtol, atol, K):
                 factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             if rejected:
                 factor = min(1, factor)
-            return t_new, y_new, f_new, h, h_abs * factor
+            # f_new outlives K, which the next step overwrites
+            return t_new, y_new, K[-1].copy(), h, h_abs * factor
         h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
         rejected = True
 
@@ -316,9 +330,10 @@ def _step(fun, t, y, f, h_abs, direction, t_bound, rtol, atol, K):
 def _dense_coefficients(fun, t_old, y_old, y, f, h, K_ext):
     """The seven rows F of the accepted step's interpolant; evaluates the
     three extra stages into K_ext[13:]."""
+    KT = K_ext.T
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        dy = np.dot(K_ext[:s].T, A[s, :s]) * h
-        K_ext[s] = fun(t_old + C[s] * h, y_old + dy)
+        dy = np.dot(KT[:, :s], _A_ROWS[s]) * h
+        K_ext[s] = fun(t_old + _C[s] * h, y_old + dy)
     F = np.empty((INTERPOLATOR_POWER, y.size))
     f_old = K_ext[0]
     delta_y = y - y_old
@@ -333,19 +348,22 @@ def _dense_coefficients(fun, t_old, y_old, y, f, h, K_ext):
 class OdeRun:
     t: np.ndarray            # accepted step ends, t[0] = t0
     y: np.ndarray            # states, shape (n, len(t))
-    dense: "DenseOutput"
+    dense: "DenseOutput | None"     # None when run without dense output
     success: bool
     message: str
     t_event: float | None = None    # the terminal event's root, where the run ended
 
 
-def dop853(fun, t0, t_bound, y0, rtol, atol, event=None) -> OdeRun:
+def dop853(fun, t0, t_bound, y0, rtol, atol, event=None, dense_output=True) -> OdeRun:
     """Integrate y' = fun(t, y) from t0 to t_bound, forward or backward.
 
-    A zero span takes one step of length zero, as scipy does: t = [t0, t0],
-    two equal state columns, and a constant dense output. If the step size
-    falls below ten spacings of t, the run stops with success False and the
-    steps accepted so far.
+    fun returns any length-n sequence of floats. A zero span takes one step
+    of length zero, as scipy does: t = [t0, t0], two equal state columns,
+    and a constant dense output. If the step size falls below ten spacings
+    of t, the run stops with success False and the steps accepted so far.
+    With dense_output False, no step forms its interpolant (three
+    right-hand-side calls each) except one cut by the event, and the run's
+    dense is None.
 
     The run ends with message EVENT on the first step where event(t, y)
     goes from >= 0 to <= 0, at the root t_event of event on the step's
@@ -353,9 +371,6 @@ def dop853(fun, t0, t_bound, y0, rtol, atol, event=None) -> OdeRun:
     state), and the step keeps its full interpolant. A root at the step's
     start repeats that time, as solve_ivp without dense output does.
     """
-    def rhs(t, y):
-        return np.asarray(fun(t, y), dtype=float)
-
     t0, t_bound = float(t0), float(t_bound)
     y = np.asarray(y0, dtype=float)
     if rtol < 100 * _EPS:
@@ -364,8 +379,8 @@ def dop853(fun, t0, t_bound, y0, rtol, atol, event=None) -> OdeRun:
                       stacklevel=2)
         rtol = 100 * _EPS
     direction = np.sign(t_bound - t0) if t_bound != t0 else 1
-    f = rhs(t0, y)
-    h_abs = _initial_step(rhs, t0, y, t_bound, f, direction, rtol, atol)
+    f = np.asarray(fun(t0, y), dtype=float)
+    h_abs = _initial_step(fun, t0, y, t_bound, f, direction, rtol, atol)
     K_ext = np.empty((N_STAGES_EXTENDED, y.size))
     K = K_ext[:N_STAGES + 1]
 
@@ -378,18 +393,23 @@ def dop853(fun, t0, t_bound, y0, rtol, atol, event=None) -> OdeRun:
         if g == 0:                      # the zero step's own root is t0
             t_event, message = t0, EVENT
     while t != t_bound and t_event is None:
-        got = _step(rhs, t, y, f, h_abs, direction, t_bound, rtol, atol, K)
+        got = _step(fun, t, y, f, h_abs, direction, t_bound, rtol, atol, K)
         if got is None:
             success, message = False, TOO_SMALL_STEP
             break
         t_new, y_new, f, h, h_abs = got
-        Fs.append(_dense_coefficients(rhs, t, y, y_new, f, h, K_ext))
-        hs.append(h)
+        F = None
+        if dense_output:
+            F = _dense_coefficients(fun, t, y, y_new, f, h, K_ext)
+            Fs.append(F)
+            hs.append(h)
         if g is not None:
             g_new = event(t_new, y_new)
             if g >= 0 and g_new <= 0:
+                if F is None:
+                    F = _dense_coefficients(fun, t, y, y_new, f, h, K_ext)
                 cut = DenseOutput(np.array([t, t_new]), np.array([y, y_new]).T,
-                                  np.array([h]), Fs[-1][None])
+                                  np.array([h]), F[None])
                 t_event = brentq(lambda s: event(s, cut(s)), t, t_new,
                                  xtol=4 * _EPS, rtol=4 * _EPS)
                 t_new, y_new, message = t_event, cut(t_event), EVENT
@@ -400,9 +420,11 @@ def dop853(fun, t0, t_bound, y0, rtol, atol, event=None) -> OdeRun:
 
     ts = np.array(ts)
     ys = np.vstack(ys).T
-    F = np.array(Fs).reshape(len(Fs), INTERPOLATOR_POWER, y.size)
-    constant = y if t0 == t_bound else None
-    dense = DenseOutput(ts, ys, np.array(hs), F, constant)
+    dense = None
+    if dense_output:
+        F = np.array(Fs).reshape(len(Fs), INTERPOLATOR_POWER, y.size)
+        constant = y if t0 == t_bound else None
+        dense = DenseOutput(ts, ys, np.array(hs), F, constant)
     return OdeRun(ts, ys, dense, success, message, t_event)
 
 

@@ -215,10 +215,11 @@ def integrate_orbit(params: ForceParams, ell: float, r0: float, vr0: float,
     """Integrate the planar orbit from theta = 0; terminates as captured at
     r = 1e-3 r0.
 
-    DOP853 runs at rtol 1e-10, atol 1e-12. Three decades of infall are
-    enough to flag a capture; pushing the floor much lower stalls the
-    integrator against the r^-4 force growth. e_drift is the energy error
-    relative to the local energy scale, so plunges report integrator
+    DOP853 runs at rtol 1e-10, atol 1e-12, without dense output: only the
+    step that the capture cuts forms its interpolant. Three decades of
+    infall are enough to flag a capture; pushing the floor much lower stalls
+    the integrator against the r^-4 force growth. e_drift is the energy
+    error relative to the local energy scale, so plunges report integrator
     quality instead of raw cancellation noise.
     """
     _require_finite(ell=ell, r0=r0, vr0=vr0, t_max=t_max)
@@ -235,7 +236,7 @@ def integrate_orbit(params: ForceParams, ell: float, r0: float, vr0: float,
                 ell ** 2 / r ** 3 - k1 / r ** 2 - 3.0 * k2 / r ** 4]
 
     run = dop853(rhs, 0.0, t_max, [r0, 0.0, vr0], 1e-10, 1e-12,
-                 event=lambda t, y: y[0] - r_floor)
+                 event=lambda t, y: y[0] - r_floor, dense_output=False)
     E0 = 0.5 * vr0 ** 2 + total_potential(params, ell, r0)
     kinetic = 0.5 * run.y[2] ** 2
     V_path = total_potential(params, ell, run.y[0])

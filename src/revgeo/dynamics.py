@@ -11,13 +11,16 @@ system
 integrated with the adaptive Runge-Kutta pair DOP853 (Hairer, Norsett &
 Wanner, Solving ODEs I, II.5) and its dense output, both owned by
 _solvers and run on numpy alone. Equator crossings and radial turning
-points are located in one array pass over all accepted steps, then refined
-by brentq on the dense output only where a bracket changes sign. A fan of
-rays from one point (exp_map_rays) is the same integration repeated.
+points are located on first read of a trace's events: one array pass over
+all accepted steps, then brentq on the dense output only where a bracket
+changes sign. A trace whose events are never read never pays for them. A
+fan of rays from one point (exp_map_rays) is the same integration
+repeated, and reads no events.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -86,13 +89,18 @@ class Event:
 
 @dataclass
 class OrbitTrace:
-    """Integrated geodesic with dense output and located events."""
+    """Integrated geodesic with dense output.
+
+    `events` lists the outer/inner equator crossings and radial turning
+    points in lam order, each refined to about 1e-13 in lam. They are
+    located from the dense output on the first read of `events` or
+    `events_of`, and kept.
+    """
 
     spec: SurfaceSpec
     config: IntegratorConfig
     lam: np.ndarray
     states: np.ndarray            # shape (4, n): rows r, theta, vr, vtheta
-    events: list
     dense: object                 # _solvers.DenseOutput over [0, lam[-1]]
     e_drift: float
     ell_drift: float
@@ -102,6 +110,22 @@ class OrbitTrace:
     def state_at(self, lam: float) -> GeodesicState:
         r, th, vr, vth = self.dense(lam)
         return GeodesicState(r, th, vr, vth, lam)
+
+    @functools.cached_property
+    def events(self) -> list:
+        if self.lam[-1] == self.lam[0]:     # max_lambda = 0 takes no step
+            return []
+        speed = np.sqrt(2.0 * conserved(self.spec, self.initial).E)
+        raw = _locate_events(self.spec, self.dense, self.lam, speed)
+        raw.sort(key=lambda kl: kl[1])
+        events, last_by_kind = [], {}
+        for kind, lam_ev in raw:
+            prev = last_by_kind.get(kind)
+            if prev is not None and abs(prev - lam_ev) < 1e-9:
+                continue  # same root caught from both sides of a step boundary
+            last_by_kind[kind] = lam_ev
+            events.append(Event(kind, lam_ev, GeodesicState(*self.dense(lam_ev), lam=lam_ev)))
+        return events
 
     def events_of(self, kind: str):
         return [ev for ev in self.events if ev.kind == kind]
@@ -138,7 +162,7 @@ def _rhs(lam, y, spec):
         dvth = 0.0
     else:
         dvth = -2.0 * (Rp / R) * vr * vtheta
-    return np.array([vr, vtheta, Rp * R * vtheta * vtheta, dvth])
+    return vr, vtheta, Rp * R * vtheta * vtheta, dvth
 
 
 def conserved(spec: SurfaceSpec, state: GeodesicState) -> ConservedSet:
@@ -204,9 +228,9 @@ def integrate(spec: SurfaceSpec, state0: GeodesicState,
               config: Optional[IntegratorConfig] = None) -> OrbitTrace:
     """Integrate the geodesic ODEs from state0 up to lam = config.max_lambda.
 
-    Returns the adaptive-step trace with a dense interpolant, the located
-    events (outer/inner equator crossings and radial turning points, each
-    refined to about 1e-13 in lam) and the measured conservation drift.
+    Returns the adaptive-step trace with a dense interpolant and the
+    measured conservation drift. Its events (outer/inner equator crossings
+    and radial turning points) are located when first read.
     """
     cfg = config or IntegratorConfig()
     y0 = state0.as_array()
@@ -224,7 +248,6 @@ def _build_trace(spec, cfg, run):
     lam = run.t
     states = run.y
     cons0 = conserved(spec, GeodesicState(*states[:, 0], lam=lam[0]))
-    speed = np.sqrt(2.0 * cons0.E)
 
     R = spec.R(states[0])
     E = 0.5 * (states[2] ** 2 + (R * states[3]) ** 2)
@@ -232,22 +255,8 @@ def _build_trace(spec, cfg, run):
     e_drift = float(np.max(np.abs(E - cons0.E)) / abs(cons0.E))
     ell_drift = (float(np.max(np.abs(ell - cons0.ell)) / abs(cons0.ell))
                  if cons0.ell != 0.0 else float(np.max(np.abs(ell))))
-
-    events = []
-    if lam[-1] != lam[0]:     # max_lambda = 0 takes no step
-        raw = _locate_events(spec, run.dense, lam, speed)
-        raw.sort(key=lambda kl: kl[1])
-        last_by_kind = {}
-        for kind, lam_ev in raw:
-            prev = last_by_kind.get(kind)
-            if prev is not None and abs(prev - lam_ev) < 1e-9:
-                continue  # same root caught from both sides of a step boundary
-            last_by_kind[kind] = lam_ev
-            st = GeodesicState(*run.dense(lam_ev), lam=lam_ev)
-            events.append(Event(kind, lam_ev, st))
-
-    return OrbitTrace(spec=spec, config=cfg, lam=lam, states=states, events=events,
-                      dense=run.dense, e_drift=e_drift, ell_drift=ell_drift,
+    return OrbitTrace(spec=spec, config=cfg, lam=lam, states=states, dense=run.dense,
+                      e_drift=e_drift, ell_drift=ell_drift,
                       success=run.success, message=run.message)
 
 

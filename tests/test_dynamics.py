@@ -8,7 +8,7 @@ from revgeo import dynamics
 from revgeo.dynamics import (INNER_EQUATOR, OUTER_EQUATOR, TURNING_POINT,
                              GeodesicState, IntegratorConfig, conserved,
                              initial_state_from_angle, integrate)
-from revgeo.errors import DomainError
+from revgeo.errors import DomainError, IntegrationError
 from revgeo.potential import turning_point
 from revgeo.surface import SurfaceSpec
 
@@ -276,3 +276,52 @@ def test_backward_integration_finds_events(ring):
     inner = tr.events_of(INNER_EQUATOR)
     assert len(inner) == 7
     assert all(-45.2 < ev.lam < 0.0 for ev in inner)
+
+
+# -- events are located on first read -------------------------------------------
+
+def _count_locates(monkeypatch):
+    calls = [0]
+    locate = dynamics._locate_events
+
+    def counted(*args):
+        calls[0] += 1
+        return locate(*args)
+
+    monkeypatch.setattr(dynamics, "_locate_events", counted)
+    return calls
+
+
+def test_events_are_located_once_on_first_read(ring, monkeypatch):
+    calls = _count_locates(monkeypatch)
+    tr = integrate(ring, initial_state_from_angle(ring, 0.47), _cfg(40.0))
+    assert calls[0] == 0
+    events = tr.events
+    assert calls[0] == 1 and events
+    assert tr.events is events
+    assert tr.events_of(TURNING_POINT) == [ev for ev in events if ev.kind == TURNING_POINT]
+    assert calls[0] == 1
+
+
+def test_exp_map_rays_locates_no_events(ring, monkeypatch):
+    calls = _count_locates(monkeypatch)
+    rays = dynamics.exp_map_rays(ring, n_rays=4, lam_max=20.0, samples=10)
+    assert len(rays) == 4 and calls[0] == 0
+
+
+def test_partial_trace_yields_its_events(ring, monkeypatch):
+    # vr' = vr^2 blows up at lam = 1 while r = -log(1 - lam) crosses the
+    # equators every pi b: the stopped run still locates those crossings
+    def blow_up(lam, y, spec):
+        return y[2], 0.0, y[2] * y[2], 0.0
+
+    calls = _count_locates(monkeypatch)
+    monkeypatch.setattr(dynamics, "_rhs", blow_up)
+    with pytest.raises(IntegrationError) as info:
+        integrate(ring, GeodesicState(0.0, 0.0, 1.0, 0.0), _cfg(3.0))
+    partial = info.value.trace
+    assert calls[0] == 0 and not partial.success
+    got = [(ev.kind, ev.lam, tuple(ev.state.as_array())) for ev in partial.events]
+    assert calls[0] == 1
+    assert got == _reference_events(ring, partial)
+    assert {kind for kind, _, _ in got} == {INNER_EQUATOR, OUTER_EQUATOR}

@@ -7,6 +7,7 @@ number here is compared with ==, never with a tolerance. scipy is the
 oracle: it is imported by these tests only.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,7 +60,9 @@ def _scipy_trace(spec, cfg, y0, monkeypatch):
                           success=sol.success, message=sol.message)
     with monkeypatch.context() as m:
         m.setattr(dynamics, "brentq", scipy_brentq)
-        return sol, dynamics._build_trace(spec, cfg, run)
+        trace = dynamics._build_trace(spec, cfg, run)
+        trace.events                    # located on first read: with scipy's brentq
+        return sol, trace
 
 
 def _owned_trace(spec, cfg, state0, monkeypatch):
@@ -219,7 +222,7 @@ def test_dop853_event_equals_solve_ivp(case):
                         atol=1e-12, events=g, dense_output=dense_output)
         assert np.array_equal(run.t, sol.t) and np.array_equal(run.y, sol.y)
         assert (run.success, run.message) == (sol.success, sol.message)
-    assert calls[0] == sol.nfev         # dop853 always forms the dense output
+    assert calls[0] == sol.nfev         # dop853 forms the dense output by default
     captured = sol.t_events[0]
     assert (run.t_event is None) == (captured.size == 0)
     if run.t_event is not None:
@@ -253,9 +256,89 @@ def test_dop853_event_on_a_zero_span():
     assert run.t_event == sol.t_events[0][0] == 0.0
 
 
+@pytest.mark.parametrize("case", sorted(EVENT_CASES))
+def test_dop853_without_dense_output_equals_solve_ivp(case):
+    level, sign, span = EVENT_CASES[case]
+
+    def g(t, y):
+        return sign * (y[0] - level)
+    g.terminal, g.direction = True, -1
+
+    calls = [0]
+
+    def counted(t, y):
+        calls[0] += 1
+        return _oscillator(t, y)
+
+    y0 = np.array([1.0, 0.0])
+    run = _solvers.dop853(counted, 0.0, span, y0, 1e-10, 1e-12, event=g,
+                          dense_output=False)
+    sol = solve_ivp(_oscillator, (0.0, span), y0, method="DOP853", rtol=1e-10,
+                    atol=1e-12, events=g)
+    assert np.array_equal(run.t, sol.t) and np.array_equal(run.y, sol.y)
+    assert (run.success, run.message) == (sol.success, sol.message)
+    assert calls[0] == sol.nfev
+    assert run.dense is None
+    captured = sol.t_events[0]
+    assert (run.t_event is None) == (captured.size == 0)
+    if run.t_event is not None:
+        assert run.t_event == captured[0] == run.t[-1]
+
+
+# -- the right-hand-side contract and the closure configuration ---------------------
+
+def _forced(t, y):
+    """A nonlinear three-dimensional system; its derivative as Python floats."""
+    u, v, w = y.tolist()
+    return v, -math.sin(u) + 0.3 * math.cos(t) * w, -0.5 * u * v
+
+
+RETURN_TYPES = {"tuple": tuple, "list": list, "ndarray": np.array}
+
+
+@pytest.mark.parametrize("span", (30.0, -30.0, 0.0), ids=("forward", "backward", "zero"))
+@pytest.mark.parametrize("kind", sorted(RETURN_TYPES))
+def test_rhs_may_return_any_sequence(kind, span):
+    convert = RETURN_TYPES[kind]
+    calls = [0]
+
+    def fun(t, y):
+        calls[0] += 1
+        return convert(_forced(t, y))
+
+    y0 = np.array([0.4, 0.0, 1.0])
+    run = _solvers.dop853(fun, 0.0, span, y0, 1e-11, 1e-12)
+    sol = solve_ivp(lambda t, y: np.array(_forced(t, y)), (0.0, span), y0,
+                    method="DOP853", rtol=1e-11, atol=1e-12, dense_output=True)
+    assert np.array_equal(run.t, sol.t) and np.array_equal(run.y, sol.y)
+    assert calls[0] == sol.nfev
+    if span != 0.0:
+        F = np.array([ip.F for ip in sol.sol.interpolants])
+        assert np.array_equal(run.dense.F, F)
+
+
+def test_closure_long_ray_equals_solve_ivp(monkeypatch):
+    # a ray of the closure benchmark's long kind: a ring, lambda = 500 at
+    # rtol 1e-12, atol 1e-13, some three thousand steps
+    rng = np.random.default_rng(11)
+    b, c = rng.uniform(0.5, 2.0), rng.uniform(0.2, 3.0)
+    spec = SurfaceSpec((c + 1.0) * b, b)
+    state0 = initial_state_from_angle(spec, rng.uniform(0.05, 1.5))
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=500.0)
+    sol, ref = _scipy_trace(spec, cfg, state0.as_array(), monkeypatch)
+    trace, nfev = _owned_trace(spec, cfg, state0, monkeypatch)
+
+    assert len(trace.lam) > 2000
+    assert np.array_equal(trace.lam, sol.t)
+    assert np.array_equal(trace.states, sol.y)
+    assert nfev == sol.nfev
+    assert trace.e_drift == ref.e_drift
+
+
 def _solve_ivp_orbit(params, ell, r0, vr0, t_max):
     """integrate_orbit as it ran on scipy's solve_ivp, with its defaults
-    theta0 = 0, rtol 1e-10, atol 1e-12 and capture floor 1e-3 r0."""
+    theta0 = 0, rtol 1e-10, atol 1e-12 and capture floor 1e-3 r0; returns
+    the orbit and solve_ivp's count of right-hand-side calls."""
     k1, k2 = params.k1, params.k2
     r_floor = 1e-3 * r0
 
@@ -279,7 +362,7 @@ def _solve_ivp_orbit(params, ell, r0, vr0, t_max):
     drift = (float(np.max(np.abs(kinetic + V_path - E0) / scale))
              if sol.y.shape[1] else 0.0)
     return central_force.PlaneOrbit(sol.t, sol.y[0], sol.y[1], sol.y[2],
-                                    bool(sol.t_events[0].size), drift)
+                                    bool(sol.t_events[0].size), drift), sol.nfev
 
 
 def _orbit_cases(count=48):
@@ -293,14 +376,27 @@ def _orbit_cases(count=48):
                rng.uniform(0.3, 1.5), r0, rng.uniform(-0.8, 0.8), t_max)
 
 
-def test_integrate_orbit_equals_solve_ivp():
+def test_integrate_orbit_equals_solve_ivp(monkeypatch):
+    calls = [0]
+    dop853 = _solvers.dop853
+
+    def counted_dop853(fun, *args, **kwargs):
+        def counted(t, y):
+            calls[0] += 1
+            return fun(t, y)
+        return dop853(counted, *args, **kwargs)
+
+    monkeypatch.setattr(_solvers, "dop853", counted_dop853)
     captures = spans = 0
     for args in _orbit_cases():
+        calls[0] = 0
         got = central_force.integrate_orbit(*args)
-        want = _solve_ivp_orbit(*args)
+        want, nfev = _solve_ivp_orbit(*args)
         for name in ("t", "r", "theta", "vr"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (name, args)
         assert (got.captured, got.e_drift) == (want.captured, want.e_drift), args
+        # no dense output: only a step cut by the capture forms its interpolant
+        assert calls[0] == nfev, args
         captures += got.captured
         spans += args[-1] <= 0.0
     assert captures >= 8 and spans >= 16
