@@ -475,11 +475,6 @@ class DenseOutput:
         self._sorted = ts if self._ascending else ts[::-1]
         self._side = "left" if self._ascending else "right"
 
-    def rows(self, steps, t):
-        """_dense_rows over the steps indexed by `steps`, t (len(steps), points)."""
-        return _dense_rows(self.F[steps], self.t_old[steps], self.h[steps],
-                           self.y_old[steps], t)
-
     def __call__(self, t):
         """State (n,) at a scalar t, or states (n, len(t)) at a 1-d array."""
         t = np.asarray(t)
@@ -496,7 +491,9 @@ class DenseOutput:
             k = slice(int(steps), int(steps) + 1)
             return _dense_rows(self.F[k], self.t_old[k], self.h[k], self.y_old[k],
                                t.reshape(1, 1))[0, :, 0]
-        return np.ascontiguousarray(self.rows(steps, t[:, None])[:, :, 0].T)
+        y = _dense_rows(self.F[steps], self.t_old[steps], self.h[steps],
+                        self.y_old[steps], t[:, None])
+        return np.ascontiguousarray(y[:, :, 0].T)
 
 
 # -- Brent's method ---------------------------------------------------------------

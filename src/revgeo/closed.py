@@ -34,7 +34,7 @@ import numpy as np
 
 from ._solvers import brentq
 from .dynamics import (INNER_EQUATOR, TURNING_POINT, GeodesicState,
-                       IntegratorConfig, initial_state_from_angle, integrate)
+                       IntegratorConfig, _integrate_to, initial_state_from_angle)
 from .errors import (ConvergenceError, DomainError, InvalidParameterError,
                      NonexistentGeodesicError)
 from .integrals import (_w_of_beta0, affine_time, arc_length_bound_period,
@@ -237,17 +237,19 @@ def _mirror_point(spec, lab, state0, length):
     """(k, state, hit) at the first mirror point of the run from state0.
 
     k = 4m and the turning point for p = 0, k = 2m and the inner-equator
-    crossing for p = 1, over (length / k) 1.02 + 0.1; if none comes within
-    it, hit is False and the span's end stands in. Equators: k = 4 at L/4.
+    crossing for p = 1. The run ends at that point, as the terminal event
+    where vr (p = 0) or cos(r/2b) (p = 1) first falls through zero; both
+    start positive at the outer-equator launch. If none comes within
+    (length / k) 1.02 + 0.1, hit is False and the span's end stands in.
+    Equators: k = 4 at L/4.
     """
     k = 4 * lab.m if lab.p == 0 else 2 * lab.m
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13,
                            max_lambda=length / k * 1.02 + 0.1 if k else length / 4.0)
-    trace = integrate(spec, state0, cfg)
     if k == 0:
-        return 4, trace.final, True
-    events = trace.events_of(TURNING_POINT if lab.p == 0 else INNER_EQUATOR)
-    return k, (events[0].state if events else trace.final), bool(events)
+        return 4, _integrate_to(spec, state0, cfg)[0], True
+    return (k, *_integrate_to(spec, state0, cfg,
+                              TURNING_POINT if lab.p == 0 else INNER_EQUATOR))
 
 
 def verify_closure(spec: SurfaceSpec, geo: ClosedGeodesic) -> float:

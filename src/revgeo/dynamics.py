@@ -10,12 +10,13 @@ system
 
 integrated with the adaptive Runge-Kutta pair DOP853 (Hairer, Norsett &
 Wanner, Solving ODEs I, II.5) and its dense output, both owned by
-_solvers and run on numpy alone. Equator crossings and radial turning
-points are located on first read of a trace's events: one array pass over
-all accepted steps, then brentq on the dense output only where a bracket
-changes sign. A trace whose events are never read never pays for them. A
-fan of rays from one point (exp_map_rays) is the same integration
-repeated, and reads no events.
+_solvers and run on numpy alone. Events are sign changes of sin(r/2b)
+(outer equator), cos(r/2b) (inner equator) and vr (turning point), located
+on first read of a trace's events by dop853's terminal-event rule: a sign
+change between two step ends, cut by brentq on that step's dense output.
+A meridian (ell = 0) moves freely, r = r0 + vr0 lam, so its equator
+crossings are the multiples of pi b in closed form; an equator circle has
+no events. A fan of rays (exp_map_rays) reads no events.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._solvers import brentq, dop853
+from ._solvers import _EPS, brentq, dop853
 from .errors import DomainError, IntegrationError, _require_finite
 from .surface import SurfaceSpec
 
@@ -36,13 +37,14 @@ OUTER_EQUATOR = "outer-equator"
 INNER_EQUATOR = "inner-equator"
 TURNING_POINT = "turning-point"
 
-# subsamples per accepted step when scanning for event sign changes
-_EVENT_SUBSAMPLES = 8
-# reject sign changes whose bracketing values are both below noise level
-_EVENT_NOISE = 1e-10
-# accepted steps whose event samples are evaluated in one array operation
-_EVENT_BLOCK = 256
-_EVENT_KINDS = (OUTER_EQUATOR, INNER_EQUATOR, TURNING_POINT)
+# the channel g(y, b) of each event kind, for a state y = (r, theta, vr,
+# vtheta) or for the columns of a (4, n) array of states: its events are the
+# sign changes of g
+_CHANNELS = {
+    OUTER_EQUATOR: lambda y, b: np.sin(y[0] / (2.0 * b)),
+    INNER_EQUATOR: lambda y, b: np.cos(y[0] / (2.0 * b)),
+    TURNING_POINT: lambda y, b: y[2],
+}
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,8 @@ class OrbitTrace:
     """Integrated geodesic with dense output.
 
     `events` lists the outer/inner equator crossings and radial turning
-    points in lam order, each refined to about 1e-13 in lam. They are
-    located from the dense output on the first read of `events` or
-    `events_of`, and kept.
+    points in lam order, each to about 1e-13 in lam (exact on meridians).
+    They are located on the first read of `events` or `events_of`, and kept.
     """
 
     spec: SurfaceSpec
@@ -113,19 +114,10 @@ class OrbitTrace:
 
     @functools.cached_property
     def events(self) -> list:
-        if self.lam[-1] == self.lam[0]:     # max_lambda = 0 takes no step
-            return []
-        speed = np.sqrt(2.0 * conserved(self.spec, self.initial).E)
-        raw = _locate_events(self.spec, self.dense, self.lam, speed)
-        raw.sort(key=lambda kl: kl[1])
-        events, last_by_kind = [], {}
-        for kind, lam_ev in raw:
-            prev = last_by_kind.get(kind)
-            if prev is not None and abs(prev - lam_ev) < 1e-9:
-                continue  # same root caught from both sides of a step boundary
-            last_by_kind[kind] = lam_ev
-            events.append(Event(kind, lam_ev, GeodesicState(*self.dense(lam_ev), lam=lam_ev)))
-        return events
+        found = sorted(_locate_events(self.spec, self.lam, self.states, self.dense),
+                       key=lambda kl: kl[1])
+        return [Event(kind, lam, GeodesicState(*self.dense(lam), lam=lam))
+                for kind, lam in found]
 
     def events_of(self, kind: str):
         return [ev for ev in self.events if ev.kind == kind]
@@ -176,51 +168,28 @@ def conserved(spec: SurfaceSpec, state: GeodesicState) -> ConservedSet:
     return ConservedSet(E, ell, ell / np.sqrt(2.0 * E))
 
 
-def _event_samples(dense, lam):
-    """Blocks (ts, ys) of event samples over all accepted steps.
-
-    Each step is sampled at _EVENT_SUBSAMPLES + 1 evenly spaced points,
-    ts of shape (steps, points), a block of _EVENT_BLOCK steps at a time.
-    ys (steps, 4, points) equals dense(ts[k]) of each step k bit for bit:
-    the dense output evaluates a step's first point, shared with the step
-    before, on that earlier step's coefficients, and the others on the
-    step's own. (A step of a few ulps, which only a last step clipped to
-    max_lambda can be, may round interior points onto its ends; those
-    are then taken from the step's own coefficients.)
-    """
-    n = len(lam) - 1
-    for lo in range(0, n, _EVENT_BLOCK):
-        hi = min(lo + _EVENT_BLOCK, n)
-        own = np.arange(lo, hi)
-        prev = np.maximum(own - 1, 0)
-        ts = np.linspace(lam[lo:hi], lam[lo + 1:hi + 1], _EVENT_SUBSAMPLES + 1, axis=1)
-        ys = np.concatenate([dense.rows(prev, ts[:, :1]), dense.rows(own, ts[:, 1:])],
-                            axis=2)
-        yield ts, ys
-
-
-def _locate_events(spec, dense, lam, speed):
-    """Event roots (kind, lam) of all accepted steps, in step order.
-
-    Only brackets where a channel changes sign above the noise level are
-    refined, by brentq on the dense output.
-    """
-    b = spec.b
-    g_of_t = (lambda t: np.sin(dense(t)[0] / (2.0 * b)),
-              lambda t: np.cos(dense(t)[0] / (2.0 * b)),
-              lambda t: dense(t)[2])
-    noise = _EVENT_NOISE * np.array([1.0, 1.0, speed])[:, None]
+def _locate_events(spec, lam, states, dense):
+    """Event roots (kind, lam) of a trace, unordered: meridians and equator
+    circles in closed form, others by sign changes between step ends."""
+    b, half = spec.b, math.pi * spec.b
+    r0, _, vr0, vth0 = (float(v) for v in states[:, 0])
+    R0 = spec.R(r0)
+    if R0 * R0 * vth0 == 0.0:
+        # ell = 0: vr stays vr0, so r = r0 + vr0 lam meets k pi b at
+        # lam = (k pi b - r0) / vr0, the outer equator for even k
+        lo, hi = sorted((r0, r0 + vr0 * float(lam[-1])))
+        return [(INNER_EQUATOR if k % 2 else OUTER_EQUATOR, (k * half - r0) / vr0)
+                for k in range(math.floor(lo / half) + 1, math.ceil(hi / half))]
+    if (r0 / half).is_integer() and abs(vr0) <= _EPS * math.hypot(vr0, R0 * vth0):
+        return []   # launched along an equator, vr = 0 to rounding: its circle
+    channels = list(_CHANNELS.items())
+    g = np.stack([channel(states, b) for _, channel in channels])
     found = []
-    for ts, ys in _event_samples(dense, lam):
-        half = ys[:, 0] / (2.0 * b)
-        g = np.stack((np.sin(half), np.cos(half), ys[:, 2]), axis=1)
-        g0, g1 = g[..., :-1], g[..., 1:]
-        # both sides below the noise level: circular-orbit noise, not a crossing
-        flip = (g0 * g1 < 0.0) & ~(np.maximum(np.abs(g0), np.abs(g1)) < noise)
-        for k, channel, i in zip(*np.nonzero(flip)):
-            lam_ev = brentq(g_of_t[channel], ts[k, i], ts[k, i + 1],
-                            xtol=1e-13, rtol=8.9e-16)
-            found.append((_EVENT_KINDS[channel], lam_ev))
+    for c, i in zip(*np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)):
+        kind, channel = channels[c]
+        lam_ev = brentq(lambda t: channel(dense(t), b), lam[i], lam[i + 1],
+                        xtol=1e-13, rtol=8.9e-16)
+        found.append((kind, lam_ev))
     return found
 
 
@@ -242,6 +211,21 @@ def integrate(spec: SurfaceSpec, state0: GeodesicState,
     if not run.success:
         raise IntegrationError(f"integration stopped early: {run.message}", trace=trace)
     return trace
+
+
+def _integrate_to(spec, state0, cfg, kind=None):
+    """(state, hit): the run from state0 to where kind's channel first falls
+    through zero (dop853's terminal event; hit) or to cfg.max_lambda. Forms
+    no dense output; IntegrationError, without a trace, if it stops early."""
+    def event(lam, y):
+        return _CHANNELS[kind](y, spec.b)
+
+    run = dop853(lambda lam, y: _rhs(lam, y, spec), 0.0, cfg.max_lambda,
+                 state0.as_array(), cfg.rel_tol, cfg.abs_tol,
+                 event=None if kind is None else event, dense_output=False)
+    if not run.success:
+        raise IntegrationError(f"integration stopped early: {run.message}")
+    return GeodesicState(*run.y[:, -1], lam=run.t[-1]), run.t_event is not None
 
 
 def _build_trace(spec, cfg, run):

@@ -155,6 +155,23 @@ def test_geodesic_zero_lambda(capsys):
     assert doc["meta"]["events"] == 0 and len(doc["rows"]) == 3
 
 
+def test_geodesic_long_meridian_reports_every_crossing(capsys):
+    # r = lambda: one equator crossing per multiple of pi b below 500
+    code, out, _ = run(capsys, "geodesic", "--beta0", "0", "--lambda-max", "500",
+                       "--samples", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["meta"]["events"] == 159
+
+
+def test_geodesic_equator_circle_reports_no_event(capsys):
+    # the horn's outer equator, beta0 = pi/2 to the nearest double
+    code, out, _ = run(capsys, "geodesic", "--a", "1", "--b", "1",
+                       "--beta0", "1.5707963267948966", "--lambda-max", "60",
+                       "--samples", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["meta"]["events"] == 0
+
+
 def test_geodesic_partial_trace_flagged(capsys, monkeypatch):
     # numerical failure: emit the truncated trace, flag it, exit 3
     real = dynamics.integrate

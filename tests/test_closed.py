@@ -304,6 +304,39 @@ def test_verify_closure_rejects_non_positive_length(ring, length):
         verify_closure(ring, geo)
 
 
+def test_mirror_point_ends_at_its_event(ring):
+    # the run stops at the first turning point: vr is zero there, and the
+    # stop is where a full trace's first turning-point event lies
+    geo = find_closed(ring, (1, 2, 0))
+    state0 = initial_state_from_angle(ring, geo.beta0)
+    k, end, hit = closed._mirror_point(ring, geo.label, state0, geo.length)
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=geo.length / 4.0)
+    first = integrate(ring, state0, cfg).events_of(dynamics.TURNING_POINT)[0]
+    assert (k, hit) == (4, True) and abs(end.vr) < 1e-13
+    assert abs(end.lam - first.lam) < 1e-12 and abs(end.theta - first.state.theta) < 1e-12
+
+
+def test_mirror_point_without_an_event_stands_in_the_span_end(ring):
+    geo = find_closed(ring, (1, 2, 0))
+    state0 = initial_state_from_angle(ring, geo.beta0)
+    k, end, hit = closed._mirror_point(ring, geo.label, state0, 1.0)
+    assert (k, hit) == (4, False)
+    assert end.lam == 1.0 / 4 * 1.02 + 0.1 and end.vr > 0.0
+
+
+@pytest.mark.parametrize("label", [(1, 2, 0), (2, 3, 1)])
+def test_mirror_point_raises_when_the_run_stops_early(ring, label, monkeypatch):
+    # r stays at the outer equator while vr' = vr^2 blows up at lam = 1/vr0,
+    # before any mirror point: the stepper stops on a too-small step
+    def blow_up(lam, y, spec):
+        return 0.0, y[3], y[2] * y[2], 0.0
+
+    monkeypatch.setattr(dynamics, "_rhs", blow_up)
+    state0 = initial_state_from_angle(ring, 0.5)
+    with pytest.raises(dynamics.IntegrationError, match="step size"):
+        closed._mirror_point(ring, closed.ClosedLabel(*label), state0, 40.0)
+
+
 def test_refine_raises_when_a_probe_misses_the_mirror_point():
     # this [1,3;1] root lies 2.6e-14 below beta_crit; its first half loop
     # outlasts (L/2) 1.02 + 0.1
@@ -535,7 +568,7 @@ def test_crossings_integrate_no_ode(ring, monkeypatch):
     def no_ode(*args, **kwargs):
         raise AssertionError("crossings must not integrate the ODE")
 
-    monkeypatch.setattr(closed, "integrate", no_ode)
+    monkeypatch.setattr(closed, "_integrate_to", no_ode)
     monkeypatch.setattr(dynamics, "integrate", no_ode)
     for geo in geos:
         crossing_points(ring, geo)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from revgeo import dynamics
@@ -9,7 +11,8 @@ from revgeo.dynamics import (INNER_EQUATOR, OUTER_EQUATOR, TURNING_POINT,
                              GeodesicState, IntegratorConfig, conserved,
                              initial_state_from_angle, integrate)
 from revgeo.errors import DomainError, IntegrationError
-from revgeo.potential import turning_point
+from revgeo.integrals import arc_length_bound_period, orbit_angle
+from revgeo.potential import critical_angles, turning_point
 from revgeo.surface import SurfaceSpec
 
 TIGHT = (1e-12, 1e-13)                  # (rel_tol, abs_tol)
@@ -152,11 +155,17 @@ def test_unit_speed_parametrization(ring):
     assert np.allclose(speed, 1.0, atol=1e-10)
 
 
-# -- event scan against the per-step reference loop ----------------------------
+# -- events against a per-step sampling scan -----------------------------------
+
+# the sampling scan used as an oracle: points per step, and the level below
+# which a sign change counts as circular-orbit noise
+_SUBSAMPLES = 8
+_NOISE = 1e-10
+
 
 def _scan_step(spec, dense, t_lo, t_hi, speed):
     """Event roots inside one accepted step by subsampled sign changes."""
-    ts = np.linspace(t_lo, t_hi, dynamics._EVENT_SUBSAMPLES + 1)
+    ts = np.linspace(t_lo, t_hi, _SUBSAMPLES + 1)
     ys = dense(ts)
     r = ys[0]
     vr = ys[2]
@@ -170,7 +179,7 @@ def _scan_step(spec, dense, t_lo, t_hi, speed):
     for kind, g, g_of_t, scale in channels:
         prod = g[:-1] * g[1:]
         for i in np.nonzero(prod < 0.0)[0]:
-            if max(abs(g[i]), abs(g[i + 1])) < dynamics._EVENT_NOISE * scale:
+            if max(abs(g[i]), abs(g[i + 1])) < _NOISE * scale:
                 continue  # circular-orbit noise, not a transversal crossing
             lam_ev = brentq(g_of_t, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
             found.append((kind, lam_ev))
@@ -178,28 +187,29 @@ def _scan_step(spec, dense, t_lo, t_hi, speed):
 
 
 def _reference_events(spec, trace):
-    """(kind, lam, state) of every event, one step at a time."""
+    """(kind, lam) of every event, nine samples per step."""
     lam = trace.lam
     speed = np.sqrt(2.0 * conserved(spec, trace.initial).E)
     raw = []
     for i in range(len(lam) - 1):
         raw.extend(_scan_step(spec, trace.dense, lam[i], lam[i + 1], speed))
-    raw.sort(key=lambda kl: kl[1])
-    last_by_kind = {}
-    events = []
-    for kind, lam_ev in raw:
-        prev = last_by_kind.get(kind)
-        if prev is not None and abs(prev - lam_ev) < 1e-9:
-            continue
-        last_by_kind[kind] = lam_ev
-        events.append((kind, lam_ev, tuple(trace.dense(lam_ev))))
-    return events
+    return sorted(raw, key=lambda kl: kl[1])
+
+
+def _assert_events_match(trace, reference):
+    """Same kinds in the same order, lam within 2e-13: two brentq xtols on
+    different brackets (a step, or a ninth of one)."""
+    got = [(ev.kind, ev.lam) for ev in trace.events]
+    assert [kind for kind, _ in got] == [kind for kind, _ in reference]
+    for (_, lam), (_, lam_ref) in zip(got, reference):
+        assert abs(lam - lam_ref) <= 2e-13, (lam, lam_ref)
+    for ev in trace.events:
+        assert ev.state == GeodesicState(*trace.dense(ev.lam), lam=ev.lam)
 
 
 EVENT_BATTERY = {
     "ring-bound": ((2.0, 1.0), 0.47, 60.0, TIGHT),
     "ring-unbound": ((2.0, 1.0), 0.119, 60.0, TIGHT),
-    "horn-meridian-through-axis": ((1.0, 1.0), 0.0, 20.0, TIGHT),
     "outer-equator-circle": ((2.0, 1.0), np.pi / 2.0, 60.0, TIGHT),
     "ring-default-tol": ((2.0, 1.0), 0.3, 60.0, DEFAULT),
     "ring-default-tol-short": ((2.0, 1.0), 0.2, 20.0, DEFAULT),
@@ -218,28 +228,99 @@ def _battery_trace(name):
 @pytest.mark.parametrize("name", sorted(EVENT_BATTERY))
 def test_events_match_per_step_scan(name):
     spec, tr = _battery_trace(name)
-    got = [(ev.kind, ev.lam, tuple(ev.state.as_array())) for ev in tr.events]
-    assert got == _reference_events(spec, tr)
-    if name == "ring-lambda-500":
-        assert len(tr.lam) - 1 > 2 * dynamics._EVENT_BLOCK
+    # the channels at the step ends are the values brentq starts from
+    assert np.array_equal(tr.dense(tr.lam), tr.states)
+    _assert_events_match(tr, _reference_events(spec, tr))
     if name == "outer-equator-circle":
-        assert got == []            # noise-level wobble about r = 0 is no crossing
+        assert tr.events == []      # noise-level wobble about r = 0 is no crossing
     else:
-        assert got
+        assert tr.events
 
 
-@pytest.mark.parametrize("name", ["ring-default-tol", "ring-lambda-500"])
-def test_stacked_samples_equal_dense_output(name):
-    _, tr = _battery_trace(name)
-    k0 = 0
-    for ts, ys in dynamics._event_samples(tr.dense, tr.lam):
-        assert ys.shape == (len(ts), 4, dynamics._EVENT_SUBSAMPLES + 1)
-        for k in range(len(ts)):
-            assert np.array_equal(ts[k], np.linspace(tr.lam[k0 + k], tr.lam[k0 + k + 1],
-                                                     dynamics._EVENT_SUBSAMPLES + 1))
-            assert np.array_equal(ys[k], tr.dense(ts[k]))
-        k0 += len(ts)
-    assert k0 == len(tr.lam) - 1
+# -- meridians and equator circles in closed form --------------------------------
+
+ORACLE_SURFACES = {"ring": (2.0, 1.0), "horn": (1.0, 1.0), "apple": (0.5, 1.0),
+                   "lemon": (-0.5, 1.0)}
+SWEEP = {**ORACLE_SURFACES, "fat ring": (3.6, 1.0)}
+
+
+@pytest.mark.parametrize("surf, lam, tol, count", [
+    ((2.0, 1.0), 500.0, TIGHT, 159),
+    ((1.0, 1.0), 500.0, TIGHT, 159),
+    ((1.0, 1.0), 20.0, TIGHT, 6),           # through the horn's axis point
+    ((2.0, 1.0), -40.0, DEFAULT, 12),
+], ids=["ring-500", "horn-500", "horn-through-axis", "ring-backward"])
+def test_meridian_crossings_in_closed_form(surf, lam, tol, count):
+    # r = lam exactly: every crossing sits at a multiple of pi b, inner
+    # equator at the odd ones, and there is no turning point
+    spec = SurfaceSpec(*surf)
+    cfg = IntegratorConfig(rel_tol=tol[0], abs_tol=tol[1], max_lambda=lam)
+    tr = integrate(spec, initial_state_from_angle(spec, 0.0), cfg)
+    k = np.arange(1, count + 1) if lam > 0.0 else np.arange(-count, 0)
+    assert [ev.kind for ev in tr.events] == [
+        INNER_EQUATOR if j % 2 else OUTER_EQUATOR for j in k]
+    assert np.allclose([ev.lam for ev in tr.events], k * np.pi * spec.b, rtol=0.0, atol=1e-12)
+    assert all(ev.state.vr == 1.0 and ev.state.vtheta == 0.0 for ev in tr.events)
+
+
+@pytest.mark.parametrize("tol, lam", [(TIGHT, 500.0), ((1e-10, 1e-11), 60.0)],
+                         ids=["rtol1e-12", "rtol1e-10"])
+@pytest.mark.parametrize("surf", sorted(SWEEP))
+def test_equator_circles_have_no_events(surf, tol, lam):
+    # launched at beta0 = pi/2, vr0 = cos(pi/2) = 6.1e-17: the run wobbles
+    # about r = 0 at the level of rounding and integration error
+    spec = SurfaceSpec(*SWEEP[surf])
+    cfg = IntegratorConfig(rel_tol=tol[0], abs_tol=tol[1], max_lambda=lam)
+    tr = integrate(spec, initial_state_from_angle(spec, np.pi / 2.0), cfg)
+    assert tr.events == []
+
+
+def test_inner_equator_circle_has_no_events(ring):
+    # the state verify_closure launches the inner-equator circle from
+    state0 = GeodesicState(np.pi * ring.b, 0.0, 0.0, 1.0 / (ring.a - ring.b))
+    tr = integrate(ring, state0, _cfg(2.0 * np.pi * (ring.a - ring.b)))
+    assert tr.events == []
+
+
+def test_near_equator_launch_keeps_its_events(ring):
+    # pi/2 - 1e-6 is a real oscillation of amplitude 1e-6, not a circle
+    tr = integrate(ring, initial_state_from_angle(ring, np.pi / 2.0 - 1e-6), _cfg(60.0))
+    assert tr.events_of(TURNING_POINT) and tr.events_of(OUTER_EQUATOR)
+    _assert_events_match(tr, _reference_events(ring, tr))
+
+
+# -- events against the quadrature route ------------------------------------------
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(surf=st.sampled_from(sorted(ORACLE_SURFACES)), u=st.floats(0.0, 1.0))
+def test_events_follow_the_quadrature(surf, u):
+    # launched upward from the outer equator, a bound orbit turns at odd
+    # quarter periods Q, where its azimuth has advanced by odd multiples of
+    # orbit_angle(chi_max), and crosses the outer equator at even ones
+    spec = SurfaceSpec(*ORACLE_SURFACES[surf])
+    lo = critical_angles(spec).beta_crit or 0.0
+    beta0 = lo + 0.1 + u * (np.pi / 2.0 - 0.15 - lo)
+    Q = arc_length_bound_period(spec, beta0) / 4.0
+    Theta = orbit_angle(spec, beta0, turning_point(spec, beta0).chi_max)
+    span = 10.5 * Q
+    tr = integrate(spec, initial_state_from_angle(spec, beta0), _cfg(span))
+    turns = tr.events_of(TURNING_POINT)
+    outer = tr.events_of(OUTER_EQUATOR)
+    assert len(turns) == 5 and len(outer) == 5 and not tr.events_of(INNER_EQUATOR)
+    odd = 2 * np.arange(5) + 1
+    assert np.allclose([ev.lam for ev in turns], odd * Q, rtol=0.0, atol=1e-9)
+    assert np.allclose([ev.state.theta for ev in turns], odd * Theta, rtol=0.0, atol=1e-9)
+    assert np.allclose([ev.lam for ev in outer], (odd + 1) * Q, rtol=0.0, atol=1e-9)
+    assert np.allclose([ev.state.theta for ev in outer], (odd + 1) * Theta,
+                       rtol=0.0, atol=1e-9)
+    # the meridian over the same span crosses an equator at every multiple
+    # of pi b, the inner one at the odd multiples
+    meridian = integrate(spec, initial_state_from_angle(spec, 0.0), _cfg(span))
+    k = np.arange(1, int(span / (np.pi * spec.b)) + 1)
+    assert [ev.kind for ev in meridian.events] == [
+        INNER_EQUATOR if j % 2 else OUTER_EQUATOR for j in k]
+    assert np.allclose([ev.lam for ev in meridian.events], k * np.pi * spec.b,
+                       rtol=0.0, atol=1e-12)
 
 
 # -- typed errors at the integrator boundary -------------------------------------
@@ -312,16 +393,16 @@ def test_exp_map_rays_locates_no_events(ring, monkeypatch):
 def test_partial_trace_yields_its_events(ring, monkeypatch):
     # vr' = vr^2 blows up at lam = 1 while r = -log(1 - lam) crosses the
     # equators every pi b: the stopped run still locates those crossings
+    # (vtheta != 0 keeps the trace off the meridians' closed form)
     def blow_up(lam, y, spec):
-        return y[2], 0.0, y[2] * y[2], 0.0
+        return y[2], y[3], y[2] * y[2], 0.0
 
     calls = _count_locates(monkeypatch)
     monkeypatch.setattr(dynamics, "_rhs", blow_up)
     with pytest.raises(IntegrationError) as info:
-        integrate(ring, GeodesicState(0.0, 0.0, 1.0, 0.0), _cfg(3.0))
+        integrate(ring, GeodesicState(0.0, 0.0, 1.0, 0.1), _cfg(3.0))
     partial = info.value.trace
     assert calls[0] == 0 and not partial.success
-    got = [(ev.kind, ev.lam, tuple(ev.state.as_array())) for ev in partial.events]
+    _assert_events_match(partial, _reference_events(ring, partial))
     assert calls[0] == 1
-    assert got == _reference_events(ring, partial)
-    assert {kind for kind, _, _ in got} == {INNER_EQUATOR, OUTER_EQUATOR}
+    assert {ev.kind for ev in partial.events} == {INNER_EQUATOR, OUTER_EQUATOR}

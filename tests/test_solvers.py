@@ -47,9 +47,6 @@ class _ScipyDense:
     def __call__(self, t):
         return self.sol(t)
 
-    def rows(self, steps, t):
-        return np.stack([self.sol.interpolants[k](tk) for k, tk in zip(steps, t)])
-
 
 def _scipy_trace(spec, cfg, y0, monkeypatch):
     """The trace that scipy's stepper, dense output and brentq give."""
