@@ -243,11 +243,11 @@ def _run_geodesic(args):
     rows = [state_row(l, (Y[0][i], Y[1][i], Y[2][i], Y[3][i]), "")
             for i, l in enumerate(lams)]
     for ev in trace.events:
-        rows.append(state_row(ev.lam, ev.state.as_array()[:4], ev.kind))
+        rows.append(state_row(ev.lam, ev.state.as_array(), ev.kind))
     cons = dynamics.conserved(spec, state0)
     meta = {"E": _g(cons.E), "ell": _g(cons.ell),
-            "e_drift": _g(trace.e_drift), "ell_drift": _g(trace.ell_drift),
-            "events": len(trace.events), "partial": partial}
+            "e_drift": _g(trace.e_drift), "events": len(trace.events),
+            "partial": partial}
     if partial:
         meta["_exit"] = _RUNTIME_EXIT
     curves = [np.column_stack([Y[1], Y[0] / spec.b])]

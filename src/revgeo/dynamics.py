@@ -1,22 +1,21 @@
 """Geodesic flow on surfaces of revolution: ODEs, events, conserved quantities.
 
-The second-order geodesic equations in (r, theta) reduce to the first-order
-system
+ell = R(r)^2 dtheta/dlam is conserved, so the geodesic equations reduce to
+one-dimensional motion in U = ell^2 / (2 R^2). Each run fixes ell from its
+launch state and integrates
 
-    dr/dlam      = vr
-    dtheta/dlam  = vtheta
-    dvr/dlam     = R'(r) R(r) vtheta^2
-    dvtheta/dlam = -2 (R'(r)/R(r)) vr vtheta
+    dr/dlam = vr,    dtheta/dlam = ell / R^2,    dvr/dlam = R R' (ell / R^2)^2
 
-integrated with the adaptive Runge-Kutta pair DOP853 (Hairer, Norsett &
-Wanner, Solving ODEs I, II.5) and its dense output, both owned by
-_solvers and run on numpy alone. Events are sign changes of sin(r/2b)
-(outer equator), cos(r/2b) (inner equator) and vr (turning point), located
-on first read of a trace's events by dop853's terminal-event rule: a sign
-change between two step ends, cut by brentq on that step's dense output.
-A meridian (ell = 0) moves freely, r = r0 + vr0 lam, so its equator
-crossings are the multiples of pi b in closed form; an equator circle has
-no events. A fan of rays (exp_map_rays) reads no events.
+with the adaptive Runge-Kutta pair DOP853 (Hairer, Norsett & Wanner,
+Solving ODEs I, II.5) and its dense output, both owned by _solvers and run
+on numpy alone; states report vtheta = ell / R^2 as a fourth row. Events
+are sign changes of sin(r/2b) (outer equator), cos(r/2b) (inner equator)
+and vr (turning point), located on first read of a trace's events by
+dop853's terminal-event rule: a sign change between two step ends, cut by
+brentq on that step's dense output. A meridian (ell = 0) moves freely,
+r = r0 + vr0 lam, with no division by R, which vanishes on axis points; its
+equator crossings are the multiples of pi b in closed form. An equator
+circle has no events. A fan of rays (exp_map_rays) reads no events.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ OUTER_EQUATOR = "outer-equator"
 INNER_EQUATOR = "inner-equator"
 TURNING_POINT = "turning-point"
 
-# the channel g(y, b) of each event kind, for a state y = (r, theta, vr,
-# vtheta) or for the columns of a (4, n) array of states: its events are the
-# sign changes of g
+# the channel g(y, b) of each event kind, for a state y = (r, theta, vr, ...)
+# or an array of states by column: its events are the sign changes of g
 _CHANNELS = {
     OUTER_EQUATOR: lambda y, b: np.sin(y[0] / (2.0 * b)),
     INNER_EQUATOR: lambda y, b: np.cos(y[0] / (2.0 * b)),
@@ -93,6 +91,9 @@ class Event:
 class OrbitTrace:
     """Integrated geodesic with dense output.
 
+    `states` and `dense` add the row vtheta = ell / R(r)^2 to the run's
+    (r, theta, vr), so dense(lam) equals states bit for bit at step ends.
+
     `events` lists the outer/inner equator crossings and radial turning
     points in lam order, each to about 1e-13 in lam (exact on meridians).
     They are located on the first read of `events` or `events_of`, and kept.
@@ -102,19 +103,22 @@ class OrbitTrace:
     config: IntegratorConfig
     lam: np.ndarray
     states: np.ndarray            # shape (4, n): rows r, theta, vr, vtheta
-    dense: object                 # _solvers.DenseOutput over [0, lam[-1]]
+    reduced: object               # _solvers.DenseOutput of (r, theta, vr)
+    ell: float
     e_drift: float
-    ell_drift: float
     success: bool = True
     message: str = ""
 
+    def dense(self, lam):
+        """State (4,) at a scalar lam, or states (4, len(lam)) at a 1-d array."""
+        return _with_vtheta(self.spec, self.ell, self.reduced(lam))
+
     def state_at(self, lam: float) -> GeodesicState:
-        r, th, vr, vth = self.dense(lam)
-        return GeodesicState(r, th, vr, vth, lam)
+        return GeodesicState(*self.dense(lam), lam=lam)
 
     @functools.cached_property
     def events(self) -> list:
-        found = sorted(_locate_events(self.spec, self.lam, self.states, self.dense),
+        found = sorted(_locate_events(self.spec, self.lam, self.states, self.reduced),
                        key=lambda kl: kl[1])
         return [Event(kind, lam, GeodesicState(*self.dense(lam), lam=lam))
                 for kind, lam in found]
@@ -142,19 +146,21 @@ def initial_state_from_angle(spec: SurfaceSpec, beta0: float) -> GeodesicState:
     return GeodesicState(0.0, 0.0, np.cos(beta0), np.sin(beta0) / spec.R(0.0))
 
 
-def _rhs(lam, y, spec):
-    """Right-hand side of the first-order geodesic system."""
-    r, _, vr, vtheta = y.tolist()
+def _rhs(lam, y, spec, ell):
+    """Right-hand side of the reduced system in (r, theta, vr), ell fixed."""
+    r, _, vr = y.tolist()
+    if ell == 0.0:
+        return vr, 0.0, 0.0     # a meridian: no division by R, which may be 0
     q = r / spec.b
     R = spec.a + spec.b * math.cos(q)
-    Rp = -math.sin(q)
-    # vtheta == 0 exactly on meridians; skip the R division so that
-    # meridians pass through horn/spindle axis points cleanly
-    if vtheta == 0.0:
-        dvth = 0.0
-    else:
-        dvth = -2.0 * (Rp / R) * vr * vtheta
-    return vr, vtheta, Rp * R * vtheta * vtheta, dvth
+    vtheta = ell / (R * R)
+    return vr, vtheta, -math.sin(q) * R * vtheta * vtheta
+
+
+def _with_vtheta(spec, ell, y):
+    """y, shape (3,) or (3, n), with the row vtheta = ell / R(r)^2 appended."""
+    vtheta = ell / spec.R(y[0]) ** 2 if ell != 0.0 else np.zeros_like(y[0])
+    return np.append(y, [vtheta], axis=0)
 
 
 def conserved(spec: SurfaceSpec, state: GeodesicState) -> ConservedSet:
@@ -198,18 +204,13 @@ def integrate(spec: SurfaceSpec, state0: GeodesicState,
     """Integrate the geodesic ODEs from state0 up to lam = config.max_lambda.
 
     Returns the adaptive-step trace with a dense interpolant and the
-    measured conservation drift. Its events (outer/inner equator crossings
-    and radial turning points) are located when first read.
+    measured energy drift. Its events (outer/inner equator crossings and
+    radial turning points) are located when first read.
     """
     cfg = config or IntegratorConfig()
-    y0 = state0.as_array()
-    if not np.all(np.isfinite(y0)):
-        raise DomainError(f"initial state must be finite, got {y0.tolist()}")
-    run = dop853(lambda lam, y: _rhs(lam, y, spec), 0.0, cfg.max_lambda, y0,
-                 cfg.rel_tol, cfg.abs_tol)
-    trace = _build_trace(spec, cfg, run)
-    if not run.success:
-        raise IntegrationError(f"integration stopped early: {run.message}", trace=trace)
+    trace = _build_trace(spec, cfg, *_run(spec, state0, cfg))
+    if not trace.success:
+        raise IntegrationError(f"integration stopped early: {trace.message}", trace=trace)
     return trace
 
 
@@ -217,30 +218,29 @@ def _integrate_to(spec, state0, cfg, kind=None):
     """(state, hit): the run from state0 to where kind's channel first falls
     through zero (dop853's terminal event; hit) or to cfg.max_lambda. Forms
     no dense output; IntegrationError, without a trace, if it stops early."""
-    def event(lam, y):
-        return _CHANNELS[kind](y, spec.b)
-
-    run = dop853(lambda lam, y: _rhs(lam, y, spec), 0.0, cfg.max_lambda,
-                 state0.as_array(), cfg.rel_tol, cfg.abs_tol,
-                 event=None if kind is None else event, dense_output=False)
+    event = None if kind is None else lambda lam, y: _CHANNELS[kind](y, spec.b)
+    run, ell = _run(spec, state0, cfg, event, dense_output=False)
     if not run.success:
         raise IntegrationError(f"integration stopped early: {run.message}")
-    return GeodesicState(*run.y[:, -1], lam=run.t[-1]), run.t_event is not None
+    return (GeodesicState(*_with_vtheta(spec, ell, run.y[:, -1]), lam=run.t[-1]),
+            run.t_event is not None)
 
 
-def _build_trace(spec, cfg, run):
-    lam = run.t
-    states = run.y
-    cons0 = conserved(spec, GeodesicState(*states[:, 0], lam=lam[0]))
+def _run(spec, state0, cfg, event=None, dense_output=True):
+    """(run, ell): dop853 on the reduced system, ell = R(r0)^2 vtheta0 fixed."""
+    y0 = state0.as_array()
+    if not np.all(np.isfinite(y0)):
+        raise DomainError(f"initial state must be finite, got {y0.tolist()}")
+    ell = float(conserved(spec, state0).ell)
+    return dop853(lambda lam, y: _rhs(lam, y, spec, ell), 0.0, cfg.max_lambda, y0[:3],
+                  cfg.rel_tol, cfg.abs_tol, event=event, dense_output=dense_output), ell
 
-    R = spec.R(states[0])
-    E = 0.5 * (states[2] ** 2 + (R * states[3]) ** 2)
-    ell = R * R * states[3]
-    e_drift = float(np.max(np.abs(E - cons0.E)) / abs(cons0.E))
-    ell_drift = (float(np.max(np.abs(ell - cons0.ell)) / abs(cons0.ell))
-                 if cons0.ell != 0.0 else float(np.max(np.abs(ell))))
-    return OrbitTrace(spec=spec, config=cfg, lam=lam, states=states, dense=run.dense,
-                      e_drift=e_drift, ell_drift=ell_drift,
+
+def _build_trace(spec, cfg, run, ell):
+    states = _with_vtheta(spec, ell, run.y)
+    E = 0.5 * (states[2] ** 2 + (spec.R(states[0]) * states[3]) ** 2)
+    return OrbitTrace(spec=spec, config=cfg, lam=run.t, states=states, reduced=run.dense,
+                      ell=ell, e_drift=float(np.max(np.abs(E - E[0])) / E[0]),
                       success=run.success, message=run.message)
 
 

@@ -155,6 +155,15 @@ def test_geodesic_zero_lambda(capsys):
     assert doc["meta"]["events"] == 0 and len(doc["rows"]) == 3
 
 
+def test_geodesic_json_reports_energy_drift_only(capsys):
+    # ell is fixed for the run, so its drift would only measure rounding
+    code, out, _ = run(capsys, "geodesic", "--beta0", "0.5", "--lambda-max", "20",
+                       "--samples", "3", "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["e_drift"] < 1e-9 and "ell_drift" not in meta
+
+
 def test_geodesic_long_meridian_reports_every_crossing(capsys):
     # r = lambda: one equator crossing per multiple of pi b below 500
     code, out, _ = run(capsys, "geodesic", "--beta0", "0", "--lambda-max", "500",

@@ -283,18 +283,19 @@ def test_verify_closure_on_equators(ring):
         assert verify_closure(ring, dataclasses.replace(geo, length=0.9 * geo.length)) > 1.0
 
 
-def test_verify_closure_without_a_mirror_point(ring):
-    # [1,5;1] lies 2.8e-14 below beta_crit: its first inner-equator crossing
-    # comes after the span, whose end stands in, so the residual is a lower
-    # bound, here still inside the CLI gate
-    geo = find_closed(ring, (1, 5, 1))
+def test_verify_closure_without_a_mirror_point():
+    # on the fat ring (3.2, 1), [1,4;1] lies one ulp below beta_crit: the
+    # run turns back short of the inner equator, so the span's end stands
+    # in and the residual is a lower bound, here still inside the CLI gate
+    spec = SurfaceSpec(3.2, 1.0)
+    geo = find_closed(spec, (1, 4, 1))
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13,
                            max_lambda=geo.length / 2 * 1.02 + 0.1)
-    trace = integrate(ring, initial_state_from_angle(ring, geo.beta0), cfg)
+    trace = integrate(spec, initial_state_from_angle(spec, geo.beta0), cfg)
     assert trace.events_of(dynamics.INNER_EQUATOR) == []
-    res = verify_closure(ring, geo)
-    assert 1.0 < res <= _full_circuit_residual(ring, geo)
-    assert res <= _closure_gate(ring, critical_angles(ring).beta_crit, geo)
+    res = verify_closure(spec, geo)
+    assert 1.0 < res <= _full_circuit_residual(spec, geo)
+    assert res <= _closure_gate(spec, critical_angles(spec).beta_crit, geo)
 
 
 @pytest.mark.parametrize("length", [-5.0, 0.0, math.nan])
@@ -310,7 +311,9 @@ def test_mirror_point_ends_at_its_event(ring):
     geo = find_closed(ring, (1, 2, 0))
     state0 = initial_state_from_angle(ring, geo.beta0)
     k, end, hit = closed._mirror_point(ring, geo.label, state0, geo.length)
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=geo.length / 4.0)
+    # the span _mirror_point runs: the turning point may fall just past L/4
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13,
+                           max_lambda=geo.length / 4.0 * 1.02 + 0.1)
     first = integrate(ring, state0, cfg).events_of(dynamics.TURNING_POINT)[0]
     assert (k, hit) == (4, True) and abs(end.vr) < 1e-13
     assert abs(end.lam - first.lam) < 1e-12 and abs(end.theta - first.state.theta) < 1e-12
@@ -328,8 +331,8 @@ def test_mirror_point_without_an_event_stands_in_the_span_end(ring):
 def test_mirror_point_raises_when_the_run_stops_early(ring, label, monkeypatch):
     # r stays at the outer equator while vr' = vr^2 blows up at lam = 1/vr0,
     # before any mirror point: the stepper stops on a too-small step
-    def blow_up(lam, y, spec):
-        return 0.0, y[3], y[2] * y[2], 0.0
+    def blow_up(lam, y, spec, ell):
+        return 0.0, ell, y[2] * y[2]
 
     monkeypatch.setattr(dynamics, "_rhs", blow_up)
     state0 = initial_state_from_angle(ring, 0.5)
@@ -338,11 +341,11 @@ def test_mirror_point_raises_when_the_run_stops_early(ring, label, monkeypatch):
 
 
 def test_refine_raises_when_a_probe_misses_the_mirror_point():
-    # this [1,3;1] root lies 2.6e-14 below beta_crit; its first half loop
-    # outlasts (L/2) 1.02 + 0.1
-    spec = SurfaceSpec(2.179180451235539, 0.5562270463531899)
+    # this [2,7;1] root lies 7.4e-15 below beta_crit; its run turns back
+    # short of the inner equator within (L/4) 1.02 + 0.1
+    spec = SurfaceSpec(3.3, 1.0)
     with pytest.raises(ConvergenceError):
-        refine_via_ode(spec, (1, 3, 1), 0.6351685623049809)
+        refine_via_ode(spec, (2, 7, 1), 0.5643701206678593)
 
 
 def test_precession(ring):

@@ -1,12 +1,15 @@
 """Geodesic flow: conserved quantities, event detection, angle laws."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from revgeo import dynamics
+from revgeo import _solvers, dynamics
 from revgeo.dynamics import (INNER_EQUATOR, OUTER_EQUATOR, TURNING_POINT,
                              GeodesicState, IntegratorConfig, conserved,
                              initial_state_from_angle, integrate)
@@ -41,15 +44,38 @@ def test_initial_state_rejects_non_finite_angle(ring, bad):
         initial_state_from_angle(ring, bad)
 
 
+def _christoffel_rhs(lam, y, spec):
+    """The geodesic equations in (r, theta, vr, vtheta), straight from the
+    Christoffel symbols, vtheta integrated rather than formed from ell: an
+    oracle for the reduced system, which holds ell fixed."""
+    r, _, vr, vtheta = y.tolist()
+    q = r / spec.b
+    R = spec.a + spec.b * math.cos(q)
+    Rp = -math.sin(q)
+    if vtheta == 0.0:
+        dvth = 0.0
+    else:
+        dvth = -2.0 * (Rp / R) * vr * vtheta
+    return vr, vtheta, Rp * R * vtheta * vtheta, dvth
+
+
+def _christoffel_run(spec, state0, cfg):
+    return solve_ivp(_christoffel_rhs, (0.0, cfg.max_lambda), state0.as_array(),
+                     args=(spec,), method="DOP853", rtol=cfg.rel_tol,
+                     atol=cfg.abs_tol, dense_output=True)
+
+
 def test_rhs_matches_christoffel(ring):
-    st = GeodesicState(r=0.7, theta=0.2, vr=0.4, vtheta=0.11)
-    d = dynamics._rhs(st.lam, st.as_array(), ring)
-    R = ring.R(0.7)
-    Rp = -np.sin(0.7 / ring.b)
-    assert d[0] == st.vr
-    assert d[1] == st.vtheta
-    assert d[2] == pytest.approx(R * Rp * st.vtheta ** 2, rel=1e-14)
-    assert d[3] == pytest.approx(-2.0 * Rp / R * st.vr * st.vtheta, rel=1e-14)
+    r, vr, ell = 0.7, 0.4, 0.5
+    st = GeodesicState(r=r, theta=0.2, vr=vr, vtheta=ell / ring.R(r) ** 2)
+    d = dynamics._rhs(st.lam, st.as_array()[:3], ring, ell)
+    want = _christoffel_rhs(st.lam, st.as_array(), ring)
+    assert d[0] == want[0]
+    assert d[1] == pytest.approx(want[1], rel=1e-15)
+    assert d[2] == pytest.approx(want[2], rel=1e-14)
+    # a meridian: no R division, so the horn's axis point is no singularity
+    horn = SurfaceSpec(1.0, 1.0)
+    assert dynamics._rhs(0.0, np.array([np.pi, 0.0, 1.0]), horn, 0.0) == (1.0, 0.0, 0.0)
 
 
 def test_meridian_runs_the_profile_circle(ring):
@@ -71,7 +97,6 @@ def test_drift_reported_small(ring):
     st = initial_state_from_angle(ring, 0.47)
     tr = integrate(ring, st, _cfg(200.0))
     assert tr.e_drift < 1e-10
-    assert tr.ell_drift < 1e-10
 
 
 def test_turning_events_match_quadrature_turning_point(ring):
@@ -237,6 +262,39 @@ def test_events_match_per_step_scan(name):
         assert tr.events
 
 
+@pytest.mark.parametrize("name", sorted(EVENT_BATTERY))
+def test_reduced_system_agrees_with_christoffel_oracle(name):
+    # the oracle integrates vtheta and lets ell drift; the reduced run fixes
+    # ell. Two runs whose local errors are held to rtol part by a global
+    # error that grows with the span: r and theta agree within 10 rtol |lam|
+    spec, tr = _battery_trace(name)
+    state0 = initial_state_from_angle(spec, EVENT_BATTERY[name][1])
+    sol = _christoffel_run(spec, state0, tr.config)
+    R = spec.R(sol.y[0])
+    ell = R * R * sol.y[3]
+    assert np.max(np.abs(ell - ell[0])) < 1e-9
+    tol = 10.0 * tr.config.rel_tol * abs(tr.config.max_lambda)
+    assert np.max(np.abs(sol.sol(tr.lam)[:2] - tr.states[:2])) < tol
+
+
+def test_reduced_system_takes_fewer_steps(ring, monkeypatch):
+    # the work counter behind the reduction: accepted DOP853 steps over
+    # lam = 500, against the four-state oracle on the same launch
+    steps = []
+
+    def counted(*args, **kwargs):
+        run = _solvers.dop853(*args, **kwargs)
+        steps.append(len(run.t) - 1)
+        return run
+
+    monkeypatch.setattr(dynamics, "dop853", counted)
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=500.0)
+    state0 = initial_state_from_angle(ring, 0.47)
+    integrate(ring, state0, cfg)
+    oracle = _christoffel_run(ring, state0, cfg)
+    assert len(steps) == 1 and steps[0] < len(oracle.t) - 1
+
+
 # -- meridians and equator circles in closed form --------------------------------
 
 ORACLE_SURFACES = {"ring": (2.0, 1.0), "horn": (1.0, 1.0), "apple": (0.5, 1.0),
@@ -393,9 +451,9 @@ def test_exp_map_rays_locates_no_events(ring, monkeypatch):
 def test_partial_trace_yields_its_events(ring, monkeypatch):
     # vr' = vr^2 blows up at lam = 1 while r = -log(1 - lam) crosses the
     # equators every pi b: the stopped run still locates those crossings
-    # (vtheta != 0 keeps the trace off the meridians' closed form)
-    def blow_up(lam, y, spec):
-        return y[2], y[3], y[2] * y[2], 0.0
+    # (ell != 0 keeps the trace off the meridians' closed form)
+    def blow_up(lam, y, spec, ell):
+        return y[2], ell, y[2] * y[2]
 
     calls = _count_locates(monkeypatch)
     monkeypatch.setattr(dynamics, "_rhs", blow_up)

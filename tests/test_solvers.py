@@ -48,16 +48,18 @@ class _ScipyDense:
         return self.sol(t)
 
 
-def _scipy_trace(spec, cfg, y0, monkeypatch):
-    """The trace that scipy's stepper, dense output and brentq give."""
-    sol = solve_ivp(dynamics._rhs, (0.0, cfg.max_lambda), y0, args=(spec,),
-                    method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    dense_output=True)
+def _scipy_trace(spec, cfg, state0, monkeypatch):
+    """The trace that scipy's stepper, dense output and brentq give on the
+    reduced system, with ell fixed at its launch value."""
+    ell = float(dynamics.conserved(spec, state0).ell)
+    sol = solve_ivp(dynamics._rhs, (0.0, cfg.max_lambda), state0.as_array()[:3],
+                    args=(spec, ell), method="DOP853", rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol, dense_output=True)
     run = SimpleNamespace(t=sol.t, y=sol.y, dense=_ScipyDense(sol.sol),
                           success=sol.success, message=sol.message)
     with monkeypatch.context() as m:
         m.setattr(dynamics, "brentq", scipy_brentq)
-        trace = dynamics._build_trace(spec, cfg, run)
+        trace = dynamics._build_trace(spec, cfg, run, ell)
         trace.events                    # located on first read: with scipy's brentq
         return sol, trace
 
@@ -67,9 +69,9 @@ def _owned_trace(spec, cfg, state0, monkeypatch):
     calls = [0]
     rhs = dynamics._rhs
 
-    def counted(lam, y, spec):
+    def counted(lam, y, spec, ell):
         calls[0] += 1
-        return rhs(lam, y, spec)
+        return rhs(lam, y, spec, ell)
 
     with monkeypatch.context() as m:
         m.setattr(dynamics, "_rhs", counted)
@@ -85,19 +87,19 @@ def test_integrate_equals_solve_ivp(family, beta0, span, tol, monkeypatch):
     spec = SurfaceSpec(*SURFACES[family])
     state0 = initial_state_from_angle(spec, beta0)
     cfg = IntegratorConfig(rel_tol=tol[0], abs_tol=tol[1], max_lambda=span)
-    sol, ref = _scipy_trace(spec, cfg, state0.as_array(), monkeypatch)
+    sol, ref = _scipy_trace(spec, cfg, state0, monkeypatch)
     trace, nfev = _owned_trace(spec, cfg, state0, monkeypatch)
 
     assert np.array_equal(trace.lam, sol.t)
-    assert np.array_equal(trace.states, sol.y)
-    assert trace.states.flags.f_contiguous == sol.y.flags.f_contiguous
+    assert np.array_equal(trace.states[:3], sol.y)
+    assert np.array_equal(trace.states, ref.states)
     assert nfev == sol.nfev
     if span != 0.0:
         F = np.array([ip.F for ip in sol.sol.interpolants])
-        assert np.array_equal(trace.dense.F, F)
+        assert np.array_equal(trace.reduced.F, F)
     assert [(e.kind, e.lam, e.state) for e in trace.events] == \
         [(e.kind, e.lam, e.state) for e in ref.events]
-    assert (trace.e_drift, trace.ell_drift) == (ref.e_drift, ref.ell_drift)
+    assert trace.e_drift == ref.e_drift
     assert (trace.success, trace.message) == (sol.success, sol.message)
     if span == 25.0 and beta0 == 0.7:
         assert trace.events
@@ -108,8 +110,13 @@ def test_dense_output_equals_ode_solution(ring, span):
     state0 = initial_state_from_angle(ring, 0.47)
     cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, max_lambda=span)
     trace = integrate(ring, state0, cfg)
-    sol = solve_ivp(dynamics._rhs, (0.0, span), state0.as_array(), args=(ring,),
-                    method="DOP853", rtol=1e-11, atol=1e-12, dense_output=True).sol
+    sol = solve_ivp(dynamics._rhs, (0.0, span), state0.as_array()[:3],
+                    args=(ring, trace.ell), method="DOP853", rtol=1e-11, atol=1e-12,
+                    dense_output=True).sol
+
+    def vtheta(r):
+        return trace.ell / ring.R(r) ** 2
+
     rng = np.random.default_rng(5)
     inside = np.linspace(0.0, span, 301)
     outside = np.array([-1.0, 1.0, span - 1.0, span + 1.0])
@@ -123,10 +130,13 @@ def test_dense_output_equals_ode_solution(ring, span):
     for name, ts in points.items():
         got = trace.dense(ts)
         assert got.shape == (4, len(ts)) and got.flags.c_contiguous, name
-        assert np.array_equal(got, sol(ts)), name
+        assert np.array_equal(got[:3], sol(ts)), name
+        assert np.array_equal(got[3], vtheta(got[0])), name
     for t in [*trace.lam, *inside[::7], *outside]:
-        assert np.array_equal(trace.dense(t), sol(t)), t
-        assert np.array_equal(trace.dense(float(t)), sol(float(t))), t
+        for at in (t, float(t)):
+            got = trace.dense(at)
+            assert np.array_equal(got[:3], sol(at)), t
+            assert got[3] == vtheta(got[0]), t
 
 
 def test_dop853_equals_solve_ivp_when_the_step_size_underflows():
@@ -153,18 +163,19 @@ def test_dop853_equals_solve_ivp_when_the_step_size_underflows():
 
 
 def test_integration_error_carries_the_partial_trace(ring, monkeypatch):
-    def blow_up(lam, y, spec):
-        return np.array([y[2] * y[2], 0.0, y[2] * y[2], 0.0])
+    def blow_up(lam, y, spec, ell):
+        return np.array([y[2] * y[2], 0.0, y[2] * y[2]])
 
     monkeypatch.setattr(dynamics, "_rhs", blow_up)
     state0 = dynamics.GeodesicState(0.0, 0.0, 1.0, 0.2)
     with pytest.raises(IntegrationError, match=_solvers.TOO_SMALL_STEP) as info:
         integrate(ring, state0, IntegratorConfig(max_lambda=3.0))
-    sol = solve_ivp(blow_up, (0.0, 3.0), state0.as_array(), args=(ring,),
-                    method="DOP853", rtol=1e-10, atol=1e-12)
     partial = info.value.trace
+    sol = solve_ivp(blow_up, (0.0, 3.0), state0.as_array()[:3], args=(ring, partial.ell),
+                    method="DOP853", rtol=1e-10, atol=1e-12)
     assert not partial.success and partial.message == sol.message
-    assert np.array_equal(partial.lam, sol.t) and np.array_equal(partial.states, sol.y)
+    assert np.array_equal(partial.lam, sol.t)
+    assert np.array_equal(partial.states[:3], sol.y)
     assert 0.0 < partial.lam[-1] < 3.0
 
 
@@ -322,12 +333,13 @@ def test_closure_long_ray_equals_solve_ivp(monkeypatch):
     spec = SurfaceSpec((c + 1.0) * b, b)
     state0 = initial_state_from_angle(spec, rng.uniform(0.05, 1.5))
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13, max_lambda=500.0)
-    sol, ref = _scipy_trace(spec, cfg, state0.as_array(), monkeypatch)
+    sol, ref = _scipy_trace(spec, cfg, state0, monkeypatch)
     trace, nfev = _owned_trace(spec, cfg, state0, monkeypatch)
 
     assert len(trace.lam) > 2000
     assert np.array_equal(trace.lam, sol.t)
-    assert np.array_equal(trace.states, sol.y)
+    assert np.array_equal(trace.states[:3], sol.y)
+    assert np.array_equal(trace.states, ref.states)
     assert nfev == sol.nfev
     assert trace.e_drift == ref.e_drift
 
